@@ -3,7 +3,7 @@
 Subcommands: normal-form, complete, check, classify, lift, project, extend,
 front.  Reports are deterministic: identical inputs give byte-identical
 output.  Exit codes: 0 pass/ok, 1 fail, 2 malformed input or range error,
-3 inconclusive at this cap/order.
+3 inconclusive at this cap/order, 4 internal error.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_MALFORMED = 2
 EXIT_INCONCLUSIVE = 3
+EXIT_INTERNAL = 4
 
 
 def _write(text: str, out: Optional[str]):
@@ -285,6 +286,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ValueError as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_MALFORMED
+    except Exception as err:
+        # a bug, not a verdict: one line, never the "fail" code
+        sys.stderr.write(f"internal error: {type(err).__name__}: {err}\n")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional
 
 Row = Dict[int, int]
 
@@ -98,7 +98,13 @@ class Echelon:
         return len(self.pivots)
 
     def back_substitute(self):
-        """Make every pivot column appear only in its own row (canonical form)."""
+        """Make every pivot column appear only in its own row (canonical form).
+
+        The scan over every pair of pivots is kept on purpose: its callers
+        (``JetSubspace.sum``/``to_doc`` and ``SolutionSpace.basis_iter``)
+        run it a few times per verdict, too rarely for a column index to
+        pay for itself.
+        """
         for col in sorted(self.pivots, reverse=True):
             prow = self.pivots[col]
             for other_col, other in list(self.pivots.items()):
@@ -116,8 +122,8 @@ class JetSubspace:
 
     Stored as a canonically reduced basis of sparse integer rows over an
     ambient space of fixed dimension.  Supports the subspace calculus needed
-    by the jet computations: membership, sum, intersection, projection and
-    quotient dimension, all exact.
+    by the jet computations: membership, residuals, containment and sum, all
+    exact.
     """
 
     def __init__(self, ambient_dim: int, echelon: Optional[Echelon] = None):
@@ -187,40 +193,6 @@ class JetSubspace:
         out.canonicalize()
         return out
 
-    def intersection(self, other: "JetSubspace") -> "JetSubspace":
-        """Zassenhaus: echelonize (a|a) and (b|0); rows supported on the low
-        block after elimination on the high block span the intersection."""
-        if other.ambient_dim != self.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        d = self.ambient_dim
-        ech = Echelon()
-        for r in self.basis_rows():
-            double = {c + d: v for c, v in r.items()}
-            double.update(r)
-            ech.insert(double)
-        for r in other.basis_rows():
-            ech.insert({c + d: v for c, v in r.items()})
-        out = JetSubspace(d)
-        for row in ech.rows():
-            if row and _pivot(row) < d:
-                out.insert(row)
-        out.canonicalize()
-        return out
-
-    def quotient_dim(self, sub: "JetSubspace") -> int:
-        if not self.contains_subspace(sub):
-            raise ValueError("quotient by a non-subspace")
-        return self.dim - sub.dim
-
-    def project(self, columns: Sequence[int]) -> "JetSubspace":
-        """Image under the coordinate projection onto the listed columns."""
-        position = {c: i for i, c in enumerate(columns)}
-        out = JetSubspace(len(columns))
-        for r in self.basis_rows():
-            out.insert({position[c]: v for c, v in r.items() if c in position})
-        out.canonicalize()
-        return out
-
     # -- serialization ----------------------------------------------------------
 
     def to_doc(self) -> dict:
@@ -239,18 +211,6 @@ class JetSubspace:
 
 def _frac_repr(v: Fraction) -> str:
     return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-
-
-def nullspace(constraint_rows: Iterable[Row], ncols: int) -> JetSubspace:
-    """Solution space of a homogeneous sparse integer system."""
-    return SolutionSpace(constraint_rows, ncols).to_subspace()
-
-
-def solve_rank(constraint_rows: Iterable[Row]) -> int:
-    ech = Echelon()
-    for row in constraint_rows:
-        ech.insert(dict(row))
-    return ech.rank
 
 
 def dot(a: Row, b: Row) -> int:
@@ -305,6 +265,3 @@ class SolutionSpace:
             for col, val in contributions.get(f, ()):
                 vec[col] = val
             yield row_from_fractions(vec)
-
-    def to_subspace(self) -> JetSubspace:
-        return JetSubspace.from_rows(self.ncols, self.basis_iter())

@@ -575,7 +575,10 @@ def parse_expression(
             value = value ** int(tok.text[start:tok.pos])
         return value
 
-    result = parse_sum()
+    try:
+        result = parse_sum()
+    except RecursionError:
+        raise ParseError("expression nested too deeply") from None
     if tok.peek() is not None:
         raise ParseError(f"trailing input at position {tok.pos}")
     return result

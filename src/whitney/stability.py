@@ -393,7 +393,8 @@ def _stability_check(f: IntegralMap, order: int, legendre: bool,
     # structural guard: every generator satisfies the membership equations
     for row in tf_rows + wf_rows:
         if not outer.satisfies(row):
-            raise AssertionError("generator escaped the jet slice; cap too small?")
+            raise CapShortfallError(
+                "generator escaped the jet slice; cap too small?")
     tf_span = JetSubspace.from_rows(ambient.dim, (dict(r) for r in tf_rows))
     wf_span = JetSubspace.from_rows(ambient.dim, (dict(r) for r in wf_rows))
     total = JetSubspace(ambient.dim)
@@ -548,9 +549,9 @@ def fiber_quotient(f: IntegralMap, degree: Optional[int] = None) -> FiberQuotien
 def check_generation_stable(f: IntegralMap, order: int,
                             contact_report: Optional[StabilityReport] = None
                             ) -> StabilityReport:
-    """Stabilized generation condition (CLI mode behind "a2r"'s big brother):
-    same clauses with the quotient computed at the working cap and required
-    to be cap-stable."""
+    """Stabilized generation condition (library only; no CLI mode reaches
+    it): the clauses of "a2r" with the quotient computed at the working cap
+    and required to be cap-stable."""
     fq = fiber_quotient(f)
     if contact_report is None:
         contact_report = check_contact_stability(f, order)
@@ -589,25 +590,27 @@ class ConclusiveOrder:
         return self.value is not None and self.stable
 
 
-def _order_slice(f: IntegralMap, degree: int, min_order: int) -> JetSubspace:
-    """Subspace of the truncated pullback algebra of elements of vanishing
-    (min_order-1)-jet."""
-    algebra = pullback_algebra_span(f, degree)
-    amb = PolyAmbient(f.source.dim, degree)
-    high = JetSubspace(amb.dim)
-    for pos, m in enumerate(amb.monomials):
-        if sum(m) >= min_order:
-            high.insert({pos: 1})
-    return algebra.intersection(high)
-
-
 def _inclusion_order_at(f: IntegralMap, degree: int, search_cap: int) -> Optional[int]:
+    amb = PolyAmbient(f.source.dim, degree)
+    top = amb.dim - 1
+    # Columns go in reversed (c -> top - c), so a stored row's pivot is its
+    # first monomial in graded order.  Pivots are distinct, so any
+    # combination of stored rows starts at the lowest pivot it uses, and the
+    # algebra elements of order >= k are spanned exactly by the stored rows
+    # of pivot degree >= k.  The answer is thus the largest pivot degree of
+    # a row outside the target, found by visiting rows from the top down.
+    algebra = Echelon()
+    for _, _, poly in pullback_products(f, degree):
+        algebra.insert({top - c: v for c, v in amb.poly_to_row(poly).items()})
     target = pullback_power_span(f, degree, f.n + 2)
-    for r in range(search_cap + 1):
-        inside = _order_slice(f, degree, r + 1)
-        if target.contains_subspace(inside):
-            return r
-    return None
+    order = 0
+    for col in sorted(algebra.pivots):
+        pivot_degree = sum(amb.monomials[top - col])
+        if pivot_degree <= order:
+            break
+        if not target.contains({top - c: v for c, v in algebra.pivots[col].items()}):
+            order = pivot_degree
+    return order if order <= search_cap else None
 
 
 def compute_conclusive_order(f: IntegralMap, search_cap: Optional[int] = None

@@ -4,10 +4,12 @@ import json
 
 import pytest
 
-from whitney.cli import main
+from whitney import cli
+from whitney.cli import EXIT_INTERNAL, main
 from whitney.errors import ParseError
 from whitney.germdoc import doc_to_text, integral_map_doc, parse_germ_document
 from whitney.integral_maps import owu_normal_form
+from whitney.linalg import SolutionSpace
 
 FIVE_SPACE = """\
 # five-space front of the deformed cusp
@@ -127,6 +129,37 @@ def test_check_cap_too_small_is_inconclusive(tmp_path):
     path = write(tmp_path, "five.germ", FIVE_SPACE)
     # truncation too small to run the requested order
     assert main(["check", path, "--mode", "contact", "--order", "10"]) == 3
+
+
+def test_check_guard_failure_is_inconclusive(tmp_path, capsys, monkeypatch):
+    # a generator outside the membership system means the cap was too small,
+    # which is an inconclusive result, not a failed verdict
+    monkeypatch.setattr(SolutionSpace, "satisfies", lambda self, row: False)
+    path = write(tmp_path, "five.germ", FIVE_SPACE)
+    assert main(["check", path, "--mode", "contact", "--order", "3"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("inconclusive: generator escaped the jet slice")
+
+
+def test_deep_nesting_is_malformed(tmp_path, capsys):
+    nested = "(" * 3000 + "1/2*x2^2" + ")" * 3000
+    deep = UV21.replace("u = 1/2*x2^2", "u = " + nested)
+    path = write(tmp_path, "deep.germ", deep)
+    assert main(["check", path, "--order", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.endswith("expression nested too deeply\n")
+
+
+def test_unexpected_exception_is_internal_error(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "check_contact_stability", broken)
+    path = write(tmp_path, "five.germ", FIVE_SPACE)
+    code = main(["check", path, "--mode", "contact", "--order", "3"])
+    assert code == EXIT_INTERNAL
+    assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
 
 
 def test_classify_commands(tmp_path, capsys):

@@ -205,6 +205,14 @@ def test_parse_errors():
         darboux("1/0")
 
 
+def test_parse_deep_nesting_is_parse_error():
+    depth = 3000
+    with pytest.raises(ParseError, match="nested too deeply"):
+        darboux("(" * depth + "p1" + ")" * depth)
+    # moderate nesting still parses
+    assert darboux("(" * 50 + "p1" + ")" * 50).same_jet(darboux("p1"))
+
+
 @given(random_poly(nvars=3, maxdeg=5))
 @settings(max_examples=60, deadline=None)
 def test_render_parse_round_trip(a):

@@ -174,10 +174,8 @@ def test_conclusive_order_f42_inconclusive_at_desk_cap(germ_corpus):
     assert co.value is None and not co.stable
 
 
-@pytest.mark.slow
 def test_conclusive_order_f42_full():
-    # frozen computed value: 16, stable across working degrees 18 and 19;
-    # roughly ten minutes of exact arithmetic
+    # frozen computed value: 16, stable across working degrees 18 and 19
     f42 = owu_normal_form(4, 2, cap=19)
     co = compute_conclusive_order(f42)
     assert co.value == 16 and co.stable
