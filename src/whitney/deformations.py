@@ -13,19 +13,24 @@ checked exactly within cap and cached as a certificate.
 Jet-level spaces: for jets of degree <= r the membership identity is only
 visible in its 1-form coefficients of degree < r, and the one-shot solve at
 the slice order over-counts (a jet can satisfy the visible equations without
-extending).  ``vi_basis(f, r)`` therefore solves the system at an escalating
-working order R and projects to degree <= r, stopping when the projected
-dimension repeats: the chain is monotone decreasing and bounded below by the
-genuine jet image, so two equal consecutive values pin it.  The same
-construction drives ``rf_truncated(f, r)`` (function jets h with dh inside
-the truncated module spanned by the differentials of f's components) and the
-kernel slices.
+extending).  Every jet slice is therefore computed on one path.  A system
+builder gives the linear system at a working order R, whose first columns
+are the coordinates of degree <= r; ``_escalate`` raises R until the
+projected dimension repeats (the chain is monotone decreasing and bounded
+below by the genuine jet image, so two equal consecutive values pin it);
+``_project_solutions`` then solves at that R and projects.  The builders are
+the membership system with its two kernel variants (``vi_basis``,
+``kernel_slice``, ``projection_kernel_slice``) and the chain-rule system of
+``rf_truncated`` (function jets h with dh inside the truncated module spanned
+by the differentials of f's components).  All of them, and the spanning sets
+of the stability module, write their sparse rows through ``_scatter``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Dict, Optional, Sequence, Tuple
 
 from .contact import contact_hamiltonian
@@ -245,6 +250,23 @@ class PolyAmbient:
         return TruncatedPoly(self.nvars, self.order, kinds, terms)
 
 
+def _scatter(rows: Dict, terms, shift: Tuple[int, ...], bound: int, place,
+             scale=1) -> None:
+    """Add ``scale * x**shift * terms`` into the sparse matrix ``rows`` (row
+    key -> {column: value}), dropping monomials of degree > bound.
+
+    ``terms`` holds (monomial, coefficient) pairs and ``place(mu)`` names the
+    (row key, column) that the shifted monomial mu lands in: an equation
+    key and a fixed unknown for a constraint system, or a fixed generator
+    and a coordinate column for a spanning set."""
+    for mono, coeff in terms:
+        mu = tuple(a + b for a, b in zip(mono, shift))
+        if sum(mu) <= bound:
+            key, col = place(mu)
+            row = rows.setdefault(key, {})
+            row[col] = row.get(col, 0) + scale * coeff
+
+
 def _vi_constraint_rows(f: IntegralMap, order: int, ambient: DeformAmbient):
     """Sparse rows of the membership system: for v of jet degree <= order,
     the coefficients of degree < order of
@@ -253,89 +275,144 @@ def _vi_constraint_rows(f: IntegralMap, order: int, ambient: DeformAmbient):
 
     must vanish.  Equations are indexed by (dx_j, monomial mu)."""
     n = f.n
-    nv = f.source.dim
     cap_needed = order + 1
     if f.cap < cap_needed:
         raise CapShortfallError(
             f"jet system at order {order} needs cap >= {cap_needed}, f has {f.cap}")
-    eq_index: Dict[Tuple[int, Tuple[int, ...]], Dict[int, Fraction]] = {}
-
-    def eq(j, mu) -> Dict[int, Fraction]:
-        got = eq_index.get((j, mu))
-        if got is None:
-            got = {}
-            eq_index[(j, mu)] = got
-        return got
-
-    def scatter(j, mu, col, value):
-        if sum(mu) <= order - 1:
-            row = eq(j, mu)
-            row[col] = row.get(col, Fraction(0)) + value
-
-    s_slot = 2 * n
-    p_terms = [list(f.p_component(i).terms.items()) for i in range(n)]
-    dq = [[f.q_component(i).partial(j) for j in range(n)] for i in range(n)]
-    for pos, m in enumerate(ambient.monomials):
+    eqs: Dict = {}
+    unit = (((0,) * f.source.dim, 1),)
+    p_terms = [f.p_component(i).terms.items() for i in range(n)]
+    dq = [[f.q_component(i).partial(j).terms.items() for j in range(n)]
+          for i in range(n)]
+    for m in ambient.monomials:
         # d(s): sum_j m_j x^{m - e_j} dx_j
-        col = ambient.column(s_slot, m)
+        col = ambient.column(2 * n, m)
         for j in range(n):
             if m[j]:
-                mu = m[:j] + (m[j] - 1,) + m[j + 1:]
-                scatter(j, mu, col, Fraction(m[j]))
+                low = m[:j] + (m[j] - 1,) + m[j + 1:]
+                _scatter(eqs, unit, low, order - 1, lambda mu: ((j, mu), col), m[j])
         # -(p_i o f) d(xi_i)
         for i in range(n):
             col = ambient.column(n + i, m)
             for j in range(n):
-                if not m[j]:
-                    continue
-                base = m[:j] + (m[j] - 1,) + m[j + 1:]
-                for pmono, pcoeff in p_terms[i]:
-                    mu = tuple(a + b for a, b in zip(base, pmono))
-                    scatter(j, mu, col, -pcoeff * m[j])
+                if m[j]:
+                    low = m[:j] + (m[j] - 1,) + m[j + 1:]
+                    _scatter(eqs, p_terms[i], low, order - 1,
+                             lambda mu: ((j, mu), col), -m[j])
         # -phi_i d(q_i o f)
         for i in range(n):
             col = ambient.column(i, m)
             for j in range(n):
-                for qmono, qcoeff in dq[i][j].terms.items():
-                    mu = tuple(a + b for a, b in zip(m, qmono))
-                    scatter(j, mu, col, -qcoeff)
-    return [row_from_fractions(r) for r in eq_index.values() if r]
+                _scatter(eqs, dq[i][j], m, order - 1,
+                         lambda mu: ((j, mu), col), -1)
+    return [row_from_fractions(r) for r in eqs.values()]
 
 
 def _e_vanishing_rows(f: IntegralMap, order: int, ambient: DeformAmbient):
     """Rows forcing the generating function e(v) = s - sum (p_i o f) xi_i to
     vanish in all coefficients of degree <= order."""
     n = f.n
-    eq_index: Dict[Tuple[int, ...], Dict[int, Fraction]] = {}
-
-    def scatter(mu, col, value):
-        if sum(mu) <= order:
-            row = eq_index.setdefault(mu, {})
-            row[col] = row.get(col, Fraction(0)) + value
-
+    eqs: Dict = {}
+    unit = (((0,) * f.source.dim, 1),)
     for m in ambient.monomials:
-        scatter(m, ambient.column(2 * n, m), Fraction(1))
+        col = ambient.column(2 * n, m)
+        _scatter(eqs, unit, m, order, lambda mu: (mu, col))
         for i in range(n):
             col = ambient.column(n + i, m)
-            for pmono, pcoeff in f.p_component(i).terms.items():
-                mu = tuple(a + b for a, b in zip(m, pmono))
-                scatter(mu, col, -pcoeff)
-    return [row_from_fractions(r) for r in eq_index.values() if r]
+            _scatter(eqs, f.p_component(i).terms.items(), m, order,
+                     lambda mu: (mu, col), -1)
+    return [row_from_fractions(r) for r in eqs.values()]
 
 
-def _slice_rows(f: IntegralMap, order: int, ambient: DeformAmbient, variant: str,
-                e_degree: Optional[int] = None):
-    rows = _vi_constraint_rows(f, order, ambient)
+# A jet system is (rows, ncols, low_dim): constraint rows over the unknowns at
+# a working order R, whose first low_dim columns are the coordinates of the
+# projection to degree <= r.  Both layouts below order monomials graded
+# ascending, so the degree <= r monomials of order R are, in the same order,
+# the monomials of order r: the projection keeps a prefix of the columns.
+
+
+def _slice_system(f: IntegralMap, order: int, working_order: int,
+                  variant: str = "full", e_degree: Optional[int] = None):
+    """The membership system at the working order, with the extra rows of a
+    kernel variant, projected to the slice order."""
+    ambient = DeformAmbient(f, working_order)
+    rows = _vi_constraint_rows(f, working_order, ambient)
     if variant == "generating_kernel":
         rows.extend(_e_vanishing_rows(
-            f, order if e_degree is None else e_degree, ambient))
+            f, working_order if e_degree is None else e_degree, ambient))
     elif variant == "projection_kernel":
         for c in range(2 * f.n):
             for m in ambient.monomials:
                 rows.append({ambient.column(c, m): 1})
     elif variant != "full":
         raise ValueError(f"unknown slice variant {variant!r}")
-    return rows
+    return rows, ambient.dim, DeformAmbient(f, order).dim
+
+
+def _rf_system(f: IntegralMap, order: int, working_order: int):
+    """Constraint rows for jets h of degree <= working_order with
+    dh = sum a_c d(f_c) below it, projected to degree <= order.
+
+    Columns: the h block first, then one coefficient block per component
+    (degree <= working_order - 1)."""
+    R = working_order
+    h_amb = PolyAmbient(f.source.dim, R)
+    a_amb = PolyAmbient(f.source.dim, max(R - 1, 0))
+    ncomps = 2 * f.n + 1
+    eqs: Dict = {}
+    unit = (((0,) * f.source.dim, 1),)
+    for pos, m in enumerate(h_amb.monomials):
+        for j in range(f.n):
+            if m[j]:
+                low = m[:j] + (m[j] - 1,) + m[j + 1:]
+                _scatter(eqs, unit, low, R - 1, lambda mu: ((j, mu), pos), m[j])
+    dcomps = [[f.components[c].partial(j).terms.items() for j in range(f.n)]
+              for c in range(ncomps)]
+    for c in range(ncomps):
+        for apos, am in enumerate(a_amb.monomials):
+            col = h_amb.dim + c * a_amb.dim + apos
+            for j in range(f.n):
+                _scatter(eqs, dcomps[c][j], am, R - 1,
+                         lambda mu: ((j, mu), col), -1)
+    rows = [row_from_fractions(r) for r in eqs.values()]
+    return rows, h_amb.dim + ncomps * a_amb.dim, PolyAmbient(f.source.dim, order).dim
+
+
+def _projected_dim(rows, ncols: int, low_dim: int) -> int:
+    """dim of the projection of the solution space to the first low_dim
+    columns, by rank arithmetic: no basis is ever materialized."""
+    ech = Echelon()
+    for row in rows:
+        ech.insert(row)
+    rank_constraints = ech.rank
+    for col in range(low_dim):
+        ech.insert({col: 1})
+    return ech.rank - rank_constraints
+
+
+def _escalate(system_at, order: int, max_working_order: int):
+    """(R, dim, stabilized): raise the working order R from the slice order
+    until the projected dimension of ``system_at(R)`` repeats (monotone
+    decreasing, so two equal consecutive values pin it) or R reaches
+    max_working_order."""
+    R = order
+    dim = _projected_dim(*system_at(R))
+    while R < max_working_order:
+        R += 1
+        nxt = _projected_dim(*system_at(R))
+        if nxt == dim:
+            return R, dim, True
+        dim = nxt
+    return R, dim, False
+
+
+def _project_solutions(rows, ncols: int, low_dim: int) -> JetSubspace:
+    """Reduced basis of the projection of the solution space to the first
+    low_dim columns."""
+    out = JetSubspace(low_dim)
+    for vec in SolutionSpace(rows, ncols).basis_iter():
+        out.insert({c: v for c, v in vec.items() if c < low_dim})
+    return out
 
 
 @dataclass
@@ -348,84 +425,45 @@ class SliceData:
     variant: str
 
 
-def _projected_slice_dim(f: IntegralMap, order: int, working_order: int,
-                         variant: str, e_degree: Optional[int] = None) -> int:
-    """dim of the projection to degree <= order of the solution space of the
-    membership system at the working order, by rank arithmetic: no basis is
-    ever materialized."""
-    ambient = DeformAmbient(f, working_order)
-    ech = Echelon()
-    for row in _slice_rows(f, working_order, ambient, variant, e_degree):
-        ech.insert(row)
-    rank_constraints = ech.rank
-    for pos, m in enumerate(ambient.monomials):
-        if sum(m) <= order:
-            for c in range(ambient.ncomps):
-                ech.insert({pos * ambient.ncomps + c: 1})
-    return ech.rank - rank_constraints
-
-
 def deformation_slice(f: IntegralMap, order: int, variant: str = "full",
                       max_working_order: Optional[int] = None,
                       e_degree: Optional[int] = None) -> SliceData:
-    """Projected jet slice of the deformation space at the given order.
-
-    The membership system is linear only on jets of a fixed degree, and its
-    one-shot solution at the slice order over-counts: jets may satisfy the
-    visible equations without extending to higher order.  The slice is
-    therefore computed at an increasing working order and projected down,
-    stopping when the projected dimension repeats (monotone decreasing, so
-    two equal consecutive values pin it) or the cap is exhausted.
-    """
+    """Projected jet slice of the deformation space at the given order,
+    escalated from the slice order to at most ``max_working_order``
+    (default cap - 1)."""
     if max_working_order is None:
         max_working_order = f.cap - 1
     if max_working_order < order:
         raise CapShortfallError(
             f"slice at order {order} needs cap >= {order + 1}, f has {f.cap}")
-    R = order
-    prev = _projected_slice_dim(f, order, R, variant, e_degree)
-    stabilized = False
-    while R < max_working_order:
-        nxt = _projected_slice_dim(f, order, R + 1, variant, e_degree)
-        R += 1
-        if nxt == prev:
-            stabilized = True
-            break
-        prev = nxt
-    return SliceData(order, R, stabilized, prev, variant)
+    R, dim, stabilized = _escalate(
+        partial(_slice_system, f, order, variant=variant, e_degree=e_degree),
+        order, max_working_order)
+    return SliceData(order, R, stabilized, dim, variant)
 
 
 def materialize_slice(f: IntegralMap, order: int, working_order: int,
                       variant: str = "full",
                       e_degree: Optional[int] = None) -> JetSubspace:
     """Reduced basis, in order-r jet coordinates, of the projected slice."""
-    amb_high = DeformAmbient(f, working_order)
-    amb_low = DeformAmbient(f, order)
-    rows = _slice_rows(f, working_order, amb_high, variant, e_degree)
-    sol = SolutionSpace(rows, amb_high.dim)
-    keep: Dict[int, int] = {}
-    for pos, m in enumerate(amb_high.monomials):
-        if sum(m) <= order:
-            for c in range(amb_high.ncomps):
-                keep[pos * amb_high.ncomps + c] = amb_low.column(c, m)
-    out = JetSubspace(amb_low.dim)
-    for vec in sol.basis_iter():
-        out.insert({keep[c]: v for c, v in vec.items() if c in keep})
-    return out
+    return _project_solutions(*_slice_system(f, order, working_order, variant,
+                                             e_degree))
 
 
-def vi_basis(f: IntegralMap, order: int,
-             working_order: Optional[int] = None) -> JetSubspace:
+def _stabilized_slice(f: IntegralMap, order: int, variant: str = "full",
+                      e_degree: Optional[int] = None) -> JetSubspace:
+    working_order = deformation_slice(f, order, variant,
+                                      e_degree=e_degree).working_order
+    return materialize_slice(f, order, working_order, variant, e_degree)
+
+
+def vi_basis(f: IntegralMap, order: int) -> JetSubspace:
     """Reduced basis of the jet slice of the deformation space at the given
     order (stabilized projection from the working order)."""
-    if working_order is None:
-        working_order = deformation_slice(f, order).working_order
-    return materialize_slice(f, order, working_order)
+    return _stabilized_slice(f, order)
 
 
-def kernel_slice(f: IntegralMap, order: int,
-                 working_order: Optional[int] = None,
-                 truncated: bool = False) -> JetSubspace:
+def kernel_slice(f: IntegralMap, order: int, truncated: bool = False) -> JetSubspace:
     """Jet slice of the deformations with vanishing generating function.
 
     ``truncated=True`` only kills the coefficients of e up to the slice
@@ -433,103 +471,26 @@ def kernel_slice(f: IntegralMap, order: int,
     slice); the default kills e through the working order, the jet image
     of the genuine kernel.
     """
-    e_degree = order if truncated else None
-    if working_order is None:
-        working_order = deformation_slice(
-            f, order, "generating_kernel", e_degree=e_degree).working_order
-    return materialize_slice(f, order, working_order, "generating_kernel",
-                             e_degree=e_degree)
+    return _stabilized_slice(f, order, "generating_kernel",
+                             order if truncated else None)
 
 
-def projection_kernel_slice(f: IntegralMap, order: int,
-                            working_order: Optional[int] = None) -> JetSubspace:
+def projection_kernel_slice(f: IntegralMap, order: int) -> JetSubspace:
     """Jet slice of the members killed by forgetting the Reeb direction
     (phi = xi = 0).  Generated by constants times the Reeb field along f."""
-    if working_order is None:
-        working_order = deformation_slice(f, order, "projection_kernel").working_order
-    return materialize_slice(f, order, working_order, "projection_kernel")
+    return _stabilized_slice(f, order, "projection_kernel")
 
 
-# -- function-side slice ------------------------------------------------------------
-
-
-def _rf_system(f: IntegralMap, order: int):
-    """Constraint rows for jets h with dh = sum a_c d(f_c) below the order.
-
-    Columns: the h block (monomials of degree <= order) first, then one
-    coefficient block per component (degree <= order - 1)."""
-    nv = f.source.dim
-    h_amb = PolyAmbient(nv, order)
-    a_amb = PolyAmbient(nv, max(order - 1, 0))
-    ncomps = 2 * f.n + 1
-    a_offset = h_amb.dim
-    ncols = h_amb.dim + ncomps * a_amb.dim
-    eq_index: Dict[Tuple[int, Tuple[int, ...]], Dict[int, Fraction]] = {}
-
-    def scatter(j, mu, col, value):
-        if sum(mu) <= order - 1:
-            row = eq_index.setdefault((j, mu), {})
-            row[col] = row.get(col, Fraction(0)) + value
-
-    for pos, m in enumerate(h_amb.monomials):
-        for j in range(f.n):
-            if m[j]:
-                mu = m[:j] + (m[j] - 1,) + m[j + 1:]
-                scatter(j, mu, pos, Fraction(m[j]))
-    dcomps = [[f.components[c].partial(j) for j in range(f.n)]
-              for c in range(ncomps)]
-    for c in range(ncomps):
-        for apos, am in enumerate(a_amb.monomials):
-            col = a_offset + c * a_amb.dim + apos
-            for j in range(f.n):
-                for dmono, dcoeff in dcomps[c][j].terms.items():
-                    mu = tuple(x + y for x, y in zip(am, dmono))
-                    scatter(j, mu, col, -dcoeff)
-    rows = [row_from_fractions(r) for r in eq_index.values() if r]
-    return rows, ncols, h_amb
-
-
-def _rf_projected_dim(f: IntegralMap, order: int, working_order: int) -> int:
-    rows, ncols, h_amb = _rf_system(f, working_order)
-    ech = Echelon()
-    for row in rows:
-        ech.insert(row)
-    rank_constraints = ech.rank
-    for pos, m in enumerate(h_amb.monomials):
-        if sum(m) <= order:
-            ech.insert({pos: 1})
-    return ech.rank - rank_constraints
-
-
-def rf_truncated(f: IntegralMap, order: int,
-                 working_order: Optional[int] = None) -> JetSubspace:
+def rf_truncated(f: IntegralMap, order: int) -> JetSubspace:
     """Jets h of degree <= order with dh inside the truncated module spanned
     by the differentials of f's components (projected from a stabilized
     working order, as for the deformation slice)."""
     if f.cap < order + 1:
         raise CapShortfallError(
             f"rf system at order {order} needs cap >= {order + 1}, f has {f.cap}")
-    if working_order is None:
-        R = order
-        prev = _rf_projected_dim(f, order, R)
-        while R < f.cap - 1:
-            nxt = _rf_projected_dim(f, order, R + 1)
-            R += 1
-            if nxt == prev:
-                break
-            prev = nxt
-        working_order = R
-    rows, ncols, h_amb_high = _rf_system(f, working_order)
-    sol = SolutionSpace(rows, ncols)
-    h_amb = PolyAmbient(f.source.dim, order)
-    keep = {}
-    for pos, m in enumerate(h_amb_high.monomials):
-        if sum(m) <= order:
-            keep[pos] = h_amb.mono_pos[m]
-    out = JetSubspace(h_amb.dim)
-    for vec in sol.basis_iter():
-        out.insert({keep[c]: v for c, v in vec.items() if c in keep})
-    return out
+    system_at = partial(_rf_system, f, order)
+    R, _, _ = _escalate(system_at, order, f.cap - 1)
+    return _project_solutions(*system_at(R))
 
 
 def generating_function_image(f: IntegralMap, order: int,

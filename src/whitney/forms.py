@@ -409,25 +409,15 @@ class MapBetweenCharts:
         """f* of a form; d of the components restricted to active variables."""
         if form.chart != self.target:
             raise ChartMismatchError("form does not live on the map's target chart")
-        if active is None:
-            active = range(self.source.dim)
         result = DiffForm.zero(self.source, form.degree, cap=form.cap)
-        dcomps = {}
-
-        def d_comp(i: int) -> DiffForm:
-            got = dcomps.get(i)
-            if got is None:
-                comp = self.components[i]
-                got = DiffForm(self.source, 1, {
-                    (j,): comp.partial(j) for j in active
-                })
-                dcomps[i] = got
-            return got
-
+        dcomps: Dict[int, DiffForm] = {}
         for idx, poly in form.coeffs.items():
             piece = DiffForm.function(self.pullback_function(poly), self.source)
             for i in idx:
-                piece = piece.wedge(d_comp(i))
+                d = dcomps.get(i)
+                if d is None:
+                    d = dcomps[i] = _d_component(self, i, active)
+                piece = piece.wedge(d)
                 if piece.is_zero():
                     break
             result = result + piece

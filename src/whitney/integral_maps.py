@@ -260,7 +260,8 @@ class IsotropicMap:
         self.q_components = tuple(q_components)
         self.e = e
         self.cap = min(c.cap for c in list(p_components) + list(q_components) + [e])
-        beta = self._liouville_pullback()
+        beta = _liouville_pullback(source, self.p_components,
+                                   self.q_components, self.cap)
         de = DiffForm.function(e, source).exterior_derivative(self._active())
         if not de.same_form(beta):
             raise NotIntegralError("e is not a generating function: de != g*(p dq)")
@@ -271,23 +272,27 @@ class IsotropicMap:
     def _active(self):
         return tuple(range(self.n))
 
-    def _liouville_pullback(self) -> DiffForm:
-        """g*(sum p_i dq_i) as a source 1-form."""
-        chart = self.source
-        coeffs = {}
-        for j in self._active():
-            total = chart.zero(self.cap - 1)
-            for i in range(self.n):
-                total = total + self.p_components[i] * self.q_components[i].partial(j)
-            coeffs[(j,)] = total
-        return DiffForm(chart, 1, coeffs)
-
     def __repr__(self):
         names = self.source.names
         parts = [f"p{i + 1} = {c.render(names)}" for i, c in enumerate(self.p_components)]
         parts += [f"q{i + 1} = {c.render(names)}" for i, c in enumerate(self.q_components)]
         parts.append(f"e = {self.e.render(names)}")
         return f"IsotropicMap(n={self.n}: " + "; ".join(parts) + ")"
+
+
+def _liouville_pullback(source: Chart, p_components: Sequence[TruncatedPoly],
+                        q_components: Sequence[TruncatedPoly],
+                        cap: int) -> DiffForm:
+    """g*(sum p_i dq_i) as a source 1-form in the n active variables, for
+    components certified within ``cap``."""
+    n = len(p_components)
+    coeffs = {}
+    for j in range(n):
+        total = source.zero(cap - 1)
+        for i in range(n):
+            total = total + p_components[i] * q_components[i].partial(j)
+        coeffs[(j,)] = total
+    return DiffForm(source, 1, coeffs)
 
 
 def project_isotropic(f: IntegralMap) -> IsotropicMap:
@@ -309,15 +314,8 @@ def lift_isotropic(n: int, p_components: Sequence[TruncatedPoly],
     for c in comps:
         source.check_poly(c)
     cap = min(c.cap for c in comps)
-    active = tuple(range(n))
-    coeffs = {}
-    for j in active:
-        total = source.zero(cap - 1)
-        for i in range(n):
-            total = total + p_components[i] * q_components[i].partial(j)
-        coeffs[(j,)] = total
-    beta = DiffForm(source, 1, coeffs)
-    e = primitive_of_closed(beta, active)
+    beta = _liouville_pullback(source, p_components, q_components, cap)
+    e = primitive_of_closed(beta, range(n))
     if e.cap > cap:
         e = e.truncate(cap)
     return IntegralMap(n, list(p_components) + list(q_components) + [e],

@@ -30,8 +30,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .deformations import (DeformAmbient, PolyAmbient, SliceData,
-                           _slice_rows, deformation_slice, materialize_slice)
+from .deformations import (DeformAmbient, PolyAmbient, SliceData, _scatter,
+                           _vi_constraint_rows, deformation_slice,
+                           materialize_slice)
 from .errors import CapShortfallError, VariableMismatchError
 from .forms import source_chart
 from .integral_maps import IntegralMap, complete_from_uv
@@ -104,9 +105,6 @@ def _germ_label(f: IntegralMap) -> str:
 # -- pullback algebra spans ----------------------------------------------------------
 
 
-_product_cache: Dict[Tuple, List] = {}
-
-
 def pullback_products(f: IntegralMap, degree: int):
     """All distinct products of components truncated at ``degree``.
 
@@ -114,10 +112,6 @@ def pullback_products(f: IntegralMap, degree: int):
     count q- and r-components (pullbacks from the fibration base).  Zero
     truncations are pruned together with their whole multiplicative cone.
     """
-    key = (f, degree)
-    got = _product_cache.get(key)
-    if got is not None:
-        return got
     if f.cap < degree:
         raise CapShortfallError(
             f"products to degree {degree} need cap >= {degree}, f has {f.cap}")
@@ -137,43 +131,33 @@ def pullback_products(f: IntegralMap, degree: int):
             rec(pos, nfac + 1, nb, nxt)
 
     rec(0, 0, 0, one)
-    _product_cache[key] = out
     return out
 
 
-_span_cache: Dict[Tuple, JetSubspace] = {}
-
-
-def _algebra_span(f: IntegralMap, degree: int, min_factors: int = 0,
-                  min_base_factors: int = 0) -> JetSubspace:
-    key = (f, degree, min_factors, min_base_factors)
-    got = _span_cache.get(key)
-    if got is not None:
-        return got
+def _products_span(f: IntegralMap, degree: int, products, min_factors: int = 0,
+                   min_base_factors: int = 0) -> JetSubspace:
     amb = PolyAmbient(f.source.dim, degree)
-    sub = JetSubspace(amb.dim)
-    for nfac, base_fac, poly in pullback_products(f, degree):
-        if nfac >= min_factors and base_fac >= min_base_factors:
-            sub.insert(amb.poly_to_row(poly))
-    _span_cache[key] = sub
-    return sub
+    return JetSubspace.from_rows(amb.dim, (
+        amb.poly_to_row(poly) for nfac, base_fac, poly in products
+        if nfac >= min_factors and base_fac >= min_base_factors))
 
 
 def pullback_algebra_span(f: IntegralMap, degree: int) -> JetSubspace:
     """Truncation of the pullback algebra of target functions."""
-    return _algebra_span(f, degree)
+    return _products_span(f, degree, pullback_products(f, degree))
 
 
 def pullback_power_span(f: IntegralMap, degree: int, k: int) -> JetSubspace:
     """Truncation of the pullbacks from the k-th power of the target
     maximal ideal."""
-    return _algebra_span(f, degree, min_factors=k)
+    return _products_span(f, degree, pullback_products(f, degree), min_factors=k)
 
 
 def base_ideal_span(f: IntegralMap, degree: int) -> JetSubspace:
     """Truncation of (base functions vanishing at 0) * pullback algebra,
     the fibration base acting through q o f and r o f."""
-    return _algebra_span(f, degree, min_base_factors=1)
+    return _products_span(f, degree, pullback_products(f, degree),
+                          min_base_factors=1)
 
 
 def _p_class_span(f: IntegralMap, degree: int) -> JetSubspace:
@@ -190,18 +174,14 @@ def _p_class_span(f: IntegralMap, degree: int) -> JetSubspace:
 
 def _multiplicity_at(f: IntegralMap, degree: int) -> int:
     amb = PolyAmbient(f.source.dim, degree)
-    ech = Echelon()
-    for comp in f.components:
-        if comp.is_zero():
-            continue
+    rows: Dict = {}
+    for c, comp in enumerate(f.components):
         for m in amb.monomials:
-            shifted = {}
-            for mono, coeff in comp.terms.items():
-                new = tuple(a + b for a, b in zip(mono, m))
-                if sum(new) <= degree:
-                    shifted[amb.mono_pos[new]] = coeff
-            if shifted:
-                ech.insert(row_from_fractions(shifted))
+            _scatter(rows, comp.terms.items(), m, degree,
+                     lambda mu: ((c, m), amb.mono_pos[mu]))
+    ech = Echelon()
+    for row in rows.values():
+        ech.insert(row_from_fractions(row))
     return amb.dim - ech.rank
 
 
@@ -221,21 +201,15 @@ def local_multiplicity(f: IntegralMap, degree: Optional[int] = None):
 
 def _tf_rows(f: IntegralMap, order: int, ambient: DeformAmbient):
     """Rows of pushforwards of monomial source fields, truncated."""
-    rows = []
-    dcomps = [[f.components[c].partial(j) for j in range(f.n)]
+    rows: Dict = {}
+    dcomps = [[f.components[c].partial(j).terms.items() for j in range(f.n)]
               for c in range(2 * f.n + 1)]
     for j in range(f.n):
         for m in monomials_upto(f.source.dim, order):
-            entries: Dict[int, Fraction] = {}
             for c in range(2 * f.n + 1):
-                for mono, coeff in dcomps[c][j].terms.items():
-                    new = tuple(a + b for a, b in zip(mono, m))
-                    if sum(new) <= order:
-                        col = ambient.column(c, new)
-                        entries[col] = entries.get(col, Fraction(0)) + coeff
-            if entries:
-                rows.append(row_from_fractions(entries))
-    return rows
+                _scatter(rows, dcomps[c][j], m, order,
+                         lambda mu: ((j, m), ambient.column(c, mu)))
+    return [row_from_fractions(r) for r in rows.values()]
 
 
 def _hamiltonian_exponents(f: IntegralMap, order: int, legendre: bool):
@@ -387,7 +361,7 @@ def _stability_check(f: IntegralMap, order: int, legendre: bool,
         raise CapShortfallError(
             f"stability check at order {order} needs cap >= {order + 1}")
     ambient = DeformAmbient(f, order)
-    outer = SolutionSpace(_slice_rows(f, order, ambient, "full"), ambient.dim)
+    outer = SolutionSpace(_vi_constraint_rows(f, order, ambient), ambient.dim)
     tf_rows = _tf_rows(f, order, ambient)
     wf_rows = _wf_rows(f, order, ambient, legendre)
     # structural guard: every generator satisfies the membership equations
@@ -470,6 +444,29 @@ def check_legendre_stability(f: IntegralMap, order: int) -> StabilityReport:
 # -- fiber generation conditions ----------------------------------------------------
 
 
+def _fiber_generation_at(f: IntegralMap, degree: int) -> Tuple[int, int, bool]:
+    """(algebra dim, denominator dim, generated by 1 and the p-components)
+    of the fiber quotient of the pullback algebra truncated at ``degree``."""
+    products = pullback_products(f, degree)
+    algebra = _products_span(f, degree, products)
+    denominator = _products_span(f, degree, products, min_base_factors=1)
+    generated = denominator.sum(_p_class_span(f, degree)).contains_subspace(algebra)
+    return algebra.dim, denominator.dim, generated
+
+
+def _gated_verdict(f: IntegralMap, order: int,
+                   contact_report: Optional[StabilityReport], generated: bool,
+                   stabilized: bool = True) -> Tuple[str, str]:
+    """(verdict, gate) of a generation condition gated on the umbrella check,
+    the contact verdict at the same order."""
+    if contact_report is None:
+        contact_report = check_contact_stability(f, order)
+    gate = contact_report.verdict
+    if not stabilized or gate == "inconclusive":
+        return "inconclusive", gate
+    return ("pass" if generated and gate == "pass" else "fail"), gate
+
+
 def check_fiber_generation(f: IntegralMap, order: int,
                            contact_report: Optional[StabilityReport] = None
                            ) -> StabilityReport:
@@ -486,17 +483,8 @@ def check_fiber_generation(f: IntegralMap, order: int,
     if f.cap < degree:
         raise CapShortfallError(
             f"fiber generation at order {order} needs cap >= {degree}")
-    algebra = pullback_algebra_span(f, degree)
-    denominator = base_ideal_span(f, degree)
-    quotient_dim = algebra.dim - denominator.dim
-    generated = denominator.sum(_p_class_span(f, degree)).contains_subspace(algebra)
-    if contact_report is None:
-        contact_report = check_contact_stability(f, order)
-    gate = contact_report.verdict
-    if gate == "inconclusive":
-        verdict = "inconclusive"
-    else:
-        verdict = "pass" if (generated and gate == "pass") else "fail"
+    algebra_dim, denominator_dim, generated = _fiber_generation_at(f, degree)
+    verdict, gate = _gated_verdict(f, order, contact_report, generated)
     report = StabilityReport(
         germ=_germ_label(f),
         mode="a2r",
@@ -504,9 +492,9 @@ def check_fiber_generation(f: IntegralMap, order: int,
         cap=f.cap,
         verdict=verdict,
         dims={
-            "algebra_slice": algebra.dim,
-            "denominator": denominator.dim,
-            "fiber_quotient": quotient_dim,
+            "algebra_slice": algebra_dim,
+            "denominator": denominator_dim,
+            "fiber_quotient": algebra_dim - denominator_dim,
         },
         sub_verdicts={
             "generated_by_1_and_p": "pass" if generated else "fail",
@@ -532,16 +520,11 @@ def fiber_quotient(f: IntegralMap, degree: Optional[int] = None) -> FiberQuotien
     degree = f.cap if degree is None else degree
     if degree < 2:
         raise CapShortfallError("fiber quotient needs degree >= 2")
-    mult, mult_stable = local_multiplicity(f, degree)
-    dims = []
-    gens = []
-    for d in (degree - 1, degree):
-        algebra = pullback_algebra_span(f, d)
-        denominator = base_ideal_span(f, d)
-        dims.append(algebra.dim - denominator.dim)
-        gens.append(denominator.sum(_p_class_span(f, d)).contains_subspace(algebra))
-    return FiberQuotient(dim=dims[1], generated=gens[1],
-                         stabilized=(dims[0] == dims[1] and gens[0] == gens[1]
+    _, mult_stable = local_multiplicity(f, degree)
+    (a0, d0, gen0), (a1, d1, gen1) = (_fiber_generation_at(f, d)
+                                      for d in (degree - 1, degree))
+    return FiberQuotient(dim=a1 - d1, generated=gen1,
+                         stabilized=(a0 - d0 == a1 - d1 and gen0 == gen1
                                      and mult_stable),
                          degree=degree)
 
@@ -553,13 +536,8 @@ def check_generation_stable(f: IntegralMap, order: int,
     it): the clauses of "a2r" with the quotient computed at the working cap
     and required to be cap-stable."""
     fq = fiber_quotient(f)
-    if contact_report is None:
-        contact_report = check_contact_stability(f, order)
-    gate = contact_report.verdict
-    if not fq.stabilized or gate == "inconclusive":
-        verdict = "inconclusive"
-    else:
-        verdict = "pass" if (fq.generated and gate == "pass") else "fail"
+    verdict, gate = _gated_verdict(f, order, contact_report, fq.generated,
+                                   fq.stabilized)
     return StabilityReport(
         germ=_germ_label(f),
         mode="a_prime",
@@ -599,10 +577,11 @@ def _inclusion_order_at(f: IntegralMap, degree: int, search_cap: int) -> Optiona
     # algebra elements of order >= k are spanned exactly by the stored rows
     # of pivot degree >= k.  The answer is thus the largest pivot degree of
     # a row outside the target, found by visiting rows from the top down.
+    products = pullback_products(f, degree)
     algebra = Echelon()
-    for _, _, poly in pullback_products(f, degree):
+    for _, _, poly in products:
         algebra.insert({top - c: v for c, v in amb.poly_to_row(poly).items()})
-    target = pullback_power_span(f, degree, f.n + 2)
+    target = _products_span(f, degree, products, min_factors=f.n + 2)
     order = 0
     for col in sorted(algebra.pivots):
         pivot_degree = sum(amb.monomials[top - col])

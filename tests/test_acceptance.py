@@ -3,9 +3,9 @@
 Everything is exact rational arithmetic; no tolerances appear anywhere.
 Criterion 4 note: the conclusive order of the type-2 umbrella in four
 variables is not reachable at desk-scale caps (the stabilized value, 16,
-needs cap 19 and ~10 minutes; see the slow-marked test in
-test_stability.py), so its row of the verdict matrix runs at the library's
-documented fallback order with the caveat recorded.
+needs cap 19; ``test_conclusive_order_f42_full`` in test_stability.py
+computes it in about 17 s), so its row of the verdict matrix runs at the
+library's documented fallback order with the caveat recorded.
 """
 
 import random

@@ -226,10 +226,75 @@ def test_front_rejects_large_n(tmp_path):
     assert main(["front", path]) == 2
 
 
+# Default reports, pinned byte for byte: a change that keeps the verdicts must
+# leave them unchanged.  The cusp report is a fail verdict with its witness.
+FIVE_SPACE_LEGENDRE_3 = """\
+{
+  "cap": 10,
+  "caveats": [
+    "jet slice is the projection of the membership system solved at the working order; an outer approximation of the genuine jet image, pinned when two consecutive working orders agree"
+  ],
+  "dims": {
+    "combined_span": 35,
+    "deficiency": 0,
+    "deformation_slice": 35,
+    "hamiltonian_span": 25,
+    "pushforward_span": 16
+  },
+  "generator_bounds": {
+    "hamiltonian_degree": 5,
+    "slice_working_order": 5,
+    "source_field_degree": 3
+  },
+  "germ": "user[n=2]",
+  "mode": "legendre",
+  "order": 3,
+  "sub_verdicts": {
+    "hamiltonians": "affine in p (lowerable through the fibration)",
+    "slice_stabilized": "yes"
+  },
+  "verdict": "pass",
+  "witnesses": []
+}
+"""
+CUSP_CONTACT_4 = """\
+{
+  "cap": 10,
+  "caveats": [
+    "jet slice is the projection of the membership system solved at the working order; an outer approximation of the genuine jet image, pinned when two consecutive working orders agree"
+  ],
+  "dims": {
+    "combined_span": 10,
+    "deficiency": 1,
+    "deformation_slice": 11,
+    "hamiltonian_span": 9,
+    "pushforward_span": 4
+  },
+  "generator_bounds": {
+    "hamiltonian_degree": 6,
+    "slice_working_order": 5,
+    "source_field_degree": 4
+  },
+  "germ": "user[n=1]",
+  "mode": "contact",
+  "order": 4,
+  "sub_verdicts": {
+    "slice_stabilized": "yes"
+  },
+  "verdict": "fail",
+  "witnesses": [
+    "DeformationField(phi1 = 3*t; xi1 = 0; s = 2*t^3)"
+  ]
+}
+"""
+
+
 def test_reports_byte_identical(tmp_path, capsys):
-    path = write(tmp_path, "five.germ", FIVE_SPACE)
-    main(["check", path, "--mode", "legendre", "--order", "3", "--json"])
-    first = capsys.readouterr().out
-    main(["check", path, "--mode", "legendre", "--order", "3", "--json"])
-    second = capsys.readouterr().out
-    assert first == second
+    pinned = ((FIVE_SPACE, ["--mode", "legendre", "--order", "3"], 0,
+               FIVE_SPACE_LEGENDRE_3),
+              (CUSP, ["--mode", "contact", "--order", "4"], 1, CUSP_CONTACT_4))
+    for text, args, code, report in pinned:
+        path = write(tmp_path, "germ.germ", text)
+        for _ in range(2):
+            assert main(["check", path, *args, "--json"]) == code
+            assert capsys.readouterr().out == report

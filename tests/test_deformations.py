@@ -199,6 +199,17 @@ def test_module_mult_contact_form_independent(f21):
 # -- jet slices -----------------------------------------------------------------------------
 
 
+def test_low_order_columns_are_a_prefix(f21):
+    # a slice is projected by keeping the first columns of the working-order
+    # system: the degree <= r coordinates must come first, in order-r layout
+    for r, R in ((2, 3), (3, 6)):
+        low, high = DeformAmbient(f21, r), DeformAmbient(f21, R)
+        assert high.monomials[:len(low.monomials)] == low.monomials
+        assert all(sum(m) > r for m in high.monomials[len(low.monomials):])
+        assert all(low.column(c, m) == high.column(c, m)
+                   for m in low.monomials for c in range(low.ncomps))
+
+
 def test_flat_line_slice_dims(flat_line):
     assert vi_basis(flat_line, 0).dim == 3
     assert vi_basis(flat_line, 2).dim == 7

@@ -105,6 +105,15 @@ def test_cap_shortfall_raises(f21):
         check_contact_stability(f21, 12)
 
 
+def test_algebra_span_is_fresh_per_call(f21):
+    # a caller may grow the span it was handed; the next call must not see it
+    span = pullback_algebra_span(f21, 4)
+    dim = span.dim
+    outside = next(c for c in range(span.ambient_dim) if not span.contains({c: 1}))
+    assert span.insert({outside: 1})
+    assert pullback_algebra_span(f21, 4).dim == dim
+
+
 # -- fiber generation -------------------------------------------------------------------
 
 
