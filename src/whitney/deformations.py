@@ -18,12 +18,13 @@ builder gives the linear system at a working order R, whose first columns
 are the coordinates of degree <= r; ``_escalate`` raises R until the
 projected dimension repeats (the chain is monotone decreasing and bounded
 below by the genuine jet image, so two equal consecutive values pin it);
-``_project_solutions`` then solves at that R and projects.  The builders are
-the membership system with its two kernel variants (``vi_basis``,
-``kernel_slice``, ``projection_kernel_slice``) and the chain-rule system of
-``rf_truncated`` (function jets h with dh inside the truncated module spanned
-by the differentials of f's components).  All of them, and the spanning sets
-of the stability module, write their sparse rows through ``_scatter``.
+``_project_solutions`` then solves the last system built and projects.  The
+builders are the membership system with its two kernel variants
+(``vi_basis``, ``kernel_slice``, ``projection_kernel_slice``) and the
+chain-rule system of ``rf_truncated`` (function jets h with dh inside the
+truncated module spanned by the differentials of f's components).  All of
+them, and the spanning sets of the stability module, write their sparse
+rows through ``_scatter``.
 """
 
 from __future__ import annotations
@@ -245,10 +246,6 @@ class PolyAmbient:
                    if sum(m) <= self.order}
         return row_from_fractions(entries)
 
-    def row_to_poly(self, row: Row, kinds) -> TruncatedPoly:
-        terms = {self.monomials[col]: Fraction(val) for col, val in row.items()}
-        return TruncatedPoly(self.nvars, self.order, kinds, terms)
-
 
 def _scatter(rows: Dict, terms, shift: Tuple[int, ...], bound: int, place,
              scale=1) -> None:
@@ -390,20 +387,21 @@ def _projected_dim(rows, ncols: int, low_dim: int) -> int:
     return ech.rank - rank_constraints
 
 
-def _escalate(system_at, order: int, max_working_order: int):
-    """(R, dim, stabilized): raise the working order R from the slice order
-    until the projected dimension of ``system_at(R)`` repeats (monotone
-    decreasing, so two equal consecutive values pin it) or R reaches
-    max_working_order."""
-    R = order
-    dim = _projected_dim(*system_at(R))
+def _escalate(system_at, order: int, max_working_order: int, dim: int):
+    """(R, dim, stabilized, system): raise the working order R from the slice
+    order, whose projected dimension ``dim`` is known, until the projected
+    dimension of ``system_at(R)`` repeats (monotone decreasing, so two equal
+    consecutive values pin it) or R reaches max_working_order.  ``system``
+    is the last system built, None if R never rose."""
+    R, system = order, None
     while R < max_working_order:
         R += 1
-        nxt = _projected_dim(*system_at(R))
+        system = system_at(R)
+        nxt = _projected_dim(*system)
         if nxt == dim:
-            return R, dim, True
+            return R, dim, True, system
         dim = nxt
-    return R, dim, False
+    return R, dim, False, system
 
 
 def _project_solutions(rows, ncols: int, low_dim: int) -> JetSubspace:
@@ -436,9 +434,9 @@ def deformation_slice(f: IntegralMap, order: int, variant: str = "full",
     if max_working_order < order:
         raise CapShortfallError(
             f"slice at order {order} needs cap >= {order + 1}, f has {f.cap}")
-    R, dim, stabilized = _escalate(
-        partial(_slice_system, f, order, variant=variant, e_degree=e_degree),
-        order, max_working_order)
+    system_at = partial(_slice_system, f, order, variant=variant, e_degree=e_degree)
+    R, dim, stabilized, _ = _escalate(system_at, order, max_working_order,
+                                      _projected_dim(*system_at(order)))
     return SliceData(order, R, stabilized, dim, variant)
 
 
@@ -450,17 +448,19 @@ def materialize_slice(f: IntegralMap, order: int, working_order: int,
                                              e_degree))
 
 
-def _stabilized_slice(f: IntegralMap, order: int, variant: str = "full",
-                      e_degree: Optional[int] = None) -> JetSubspace:
-    working_order = deformation_slice(f, order, variant,
-                                      e_degree=e_degree).working_order
-    return materialize_slice(f, order, working_order, variant, e_degree)
+def _stabilized_slice(f: IntegralMap, order: int, builder, **variant) -> JetSubspace:
+    """Escalate the system of ``builder`` from the slice order and project
+    the solutions of the last system built."""
+    system_at = partial(builder, f, order, **variant)
+    system = system_at(order)
+    _, _, _, last = _escalate(system_at, order, f.cap - 1, _projected_dim(*system))
+    return _project_solutions(*(last or system))
 
 
 def vi_basis(f: IntegralMap, order: int) -> JetSubspace:
     """Reduced basis of the jet slice of the deformation space at the given
     order (stabilized projection from the working order)."""
-    return _stabilized_slice(f, order)
+    return _stabilized_slice(f, order, _slice_system)
 
 
 def kernel_slice(f: IntegralMap, order: int, truncated: bool = False) -> JetSubspace:
@@ -471,14 +471,14 @@ def kernel_slice(f: IntegralMap, order: int, truncated: bool = False) -> JetSubs
     slice); the default kills e through the working order, the jet image
     of the genuine kernel.
     """
-    return _stabilized_slice(f, order, "generating_kernel",
-                             order if truncated else None)
+    return _stabilized_slice(f, order, _slice_system, variant="generating_kernel",
+                             e_degree=order if truncated else None)
 
 
 def projection_kernel_slice(f: IntegralMap, order: int) -> JetSubspace:
     """Jet slice of the members killed by forgetting the Reeb direction
     (phi = xi = 0).  Generated by constants times the Reeb field along f."""
-    return _stabilized_slice(f, order, "projection_kernel")
+    return _stabilized_slice(f, order, _slice_system, variant="projection_kernel")
 
 
 def rf_truncated(f: IntegralMap, order: int) -> JetSubspace:
@@ -488,9 +488,7 @@ def rf_truncated(f: IntegralMap, order: int) -> JetSubspace:
     if f.cap < order + 1:
         raise CapShortfallError(
             f"rf system at order {order} needs cap >= {order + 1}, f has {f.cap}")
-    system_at = partial(_rf_system, f, order)
-    R, _, _ = _escalate(system_at, order, f.cap - 1)
-    return _project_solutions(*system_at(R))
+    return _stabilized_slice(f, order, _rf_system)
 
 
 def generating_function_image(f: IntegralMap, order: int,

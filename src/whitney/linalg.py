@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 Row = Dict[int, int]
 
@@ -139,12 +139,6 @@ class JetSubspace:
             sub.insert(row)
         return sub
 
-    @classmethod
-    def from_fraction_rows(
-        cls, ambient_dim: int, rows: Iterable[Dict[int, Fraction]]
-    ) -> "JetSubspace":
-        return cls.from_rows(ambient_dim, (row_from_fractions(r) for r in rows))
-
     def insert(self, row: Row) -> bool:
         for c in row:
             if not 0 <= c < self.ambient_dim:
@@ -213,24 +207,30 @@ def _frac_repr(v: Fraction) -> str:
     return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
 
-def dot(a: Row, b: Row) -> int:
-    if len(a) > len(b):
-        a, b = b, a
-    total = 0
-    for c, v in a.items():
-        w = b.get(c)
-        if w:
-            total += v * w
-    return total
+def annihilates(constraints: Iterable[Row], rows: Iterable[Row]) -> bool:
+    """True when every row has zero dot product with every constraint: one
+    sparse transposed product through a column -> (constraint, value) index."""
+    by_col: Dict[int, List[Tuple[int, int]]] = {}
+    for k, con in enumerate(constraints):
+        for c, v in con.items():
+            by_col.setdefault(c, []).append((k, v))
+    for row in rows:
+        acc: Dict[int, int] = {}
+        for c, v in row.items():
+            for k, a in by_col.get(c, ()):
+                acc[k] = acc.get(k, 0) + a * v
+        if any(acc.values()):
+            return False
+    return True
 
 
 class SolutionSpace:
     """Solution space of a homogeneous system, kept in constraint form.
 
     For large jet systems the explicit basis is expensive to echelonize, but
-    three cheap operations suffice downstream: the dimension, membership of
-    a candidate solution (dot products against the reduced constraints), and
-    lazy enumeration of a basis for witness extraction.
+    two cheap operations suffice downstream: the dimension and lazy
+    enumeration of a basis for witness extraction.  Membership of candidate
+    solutions is tested on the original constraints with ``annihilates``.
     """
 
     def __init__(self, constraint_rows: Iterable[Row], ncols: int):
@@ -243,9 +243,6 @@ class SolutionSpace:
     @property
     def dim(self) -> int:
         return self.ncols - self._ech.rank
-
-    def satisfies(self, row: Row) -> bool:
-        return all(dot(prow, row) == 0 for prow in self._ech.pivots.values())
 
     def basis_iter(self):
         """Yield one sparse integer basis vector per free column."""

@@ -28,15 +28,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
-from .deformations import (DeformAmbient, PolyAmbient, SliceData, _scatter,
-                           _vi_constraint_rows, deformation_slice,
+from .deformations import (DeformAmbient, PolyAmbient, SliceData, _escalate,
+                           _scatter, _slice_system, _vi_constraint_rows,
                            materialize_slice)
 from .errors import CapShortfallError, VariableMismatchError
 from .forms import source_chart
 from .integral_maps import IntegralMap, complete_from_uv
-from .linalg import Echelon, JetSubspace, SolutionSpace, row_from_fractions
+from .linalg import (Echelon, JetSubspace, SolutionSpace, annihilates,
+                     row_from_fractions)
 from .ring import INF, TruncatedPoly, monomials_upto
 
 OUTER_APPROX_CAVEAT = (
@@ -361,25 +363,27 @@ def _stability_check(f: IntegralMap, order: int, legendre: bool,
         raise CapShortfallError(
             f"stability check at order {order} needs cap >= {order + 1}")
     ambient = DeformAmbient(f, order)
-    outer = SolutionSpace(_vi_constraint_rows(f, order, ambient), ambient.dim)
+    constraints = _vi_constraint_rows(f, order, ambient)
     tf_rows = _tf_rows(f, order, ambient)
     wf_rows = _wf_rows(f, order, ambient, legendre)
     # structural guard: every generator satisfies the membership equations
-    for row in tf_rows + wf_rows:
-        if not outer.satisfies(row):
-            raise CapShortfallError(
-                "generator escaped the jet slice; cap too small?")
+    if not annihilates(constraints, tf_rows + wf_rows):
+        raise CapShortfallError("generator escaped the jet slice; cap too small?")
+    outer_dim = SolutionSpace(constraints, ambient.dim).dim
     tf_span = JetSubspace.from_rows(ambient.dim, (dict(r) for r in tf_rows))
     wf_span = JetSubspace.from_rows(ambient.dim, (dict(r) for r in wf_rows))
     total = JetSubspace(ambient.dim)
     for row in tf_rows + wf_rows:
         total.insert(dict(row))
-    if outer.dim == total.dim:
+    if outer_dim == total.dim:
         # the one-shot slice already agrees with the span: projection can
         # only sit between them, so the verdict is pinched to pass
-        slice_data = SliceData(order, order, True, outer.dim, "full")
+        slice_data = SliceData(order, order, True, outer_dim, "full")
     else:
-        slice_data = deformation_slice(f, order)
+        # the escalation starts from the order-r dimension ranked above
+        R, dim, stabilized, _ = _escalate(partial(_slice_system, f, order),
+                                          order, f.cap - 1, outer_dim)
+        slice_data = SliceData(order, R, stabilized, dim, "full")
     deficiency = slice_data.dim - total.dim
     if deficiency == 0:
         verdict = "pass"
@@ -656,9 +660,9 @@ def singular_locus_evidence(f: IntegralMap):
 
 
 def ca_evidence_report(f: IntegralMap, order: int) -> StabilityReport:
-    """Evidence report for the closure condition: the chain-rule closure of
-    the pullback algebra adds nothing at this order, and the singular locus
-    looks codimension >= 2 at jet level.
+    """Library-only evidence report (no CLI mode reaches it) for the closure
+    condition: the chain-rule closure of the pullback algebra adds nothing at
+    this order, and the singular locus looks codimension >= 2 at jet level.
 
     The analytic half of the genuine condition (a complex representative
     whose singular locus has codimension >= 2) is not decidable from jets,

@@ -4,12 +4,11 @@ import json
 
 import pytest
 
-from whitney import cli
+from whitney import cli, stability
 from whitney.cli import EXIT_INTERNAL, main
 from whitney.errors import ParseError
 from whitney.germdoc import doc_to_text, integral_map_doc, parse_germ_document
 from whitney.integral_maps import owu_normal_form
-from whitney.linalg import SolutionSpace
 
 FIVE_SPACE = """\
 # five-space front of the deformed cusp
@@ -134,7 +133,7 @@ def test_check_cap_too_small_is_inconclusive(tmp_path):
 def test_check_guard_failure_is_inconclusive(tmp_path, capsys, monkeypatch):
     # a generator outside the membership system means the cap was too small,
     # which is an inconclusive result, not a failed verdict
-    monkeypatch.setattr(SolutionSpace, "satisfies", lambda self, row: False)
+    monkeypatch.setattr(stability, "annihilates", lambda constraints, rows: False)
     path = write(tmp_path, "five.germ", FIVE_SPACE)
     assert main(["check", path, "--mode", "contact", "--order", "3"]) == 3
     err = capsys.readouterr().err

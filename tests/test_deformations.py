@@ -8,10 +8,10 @@ import pytest
 
 from whitney.contact import contact_hamiltonian, scaled_contact_hamiltonian, scaled_reeb
 from whitney.deformations import (DeformAmbient, DeformationField,
-                                  generating_function_image, interior_with_alpha,
-                                  kernel_slice, module_mult, projection_kernel_slice,
-                                  reeb_along, rf_truncated, tf_apply, vi_basis,
-                                  wf_apply)
+                                  _vi_constraint_rows, generating_function_image,
+                                  interior_with_alpha, kernel_slice, module_mult,
+                                  projection_kernel_slice, reeb_along, rf_truncated,
+                                  tf_apply, vi_basis, wf_apply)
 from whitney.errors import UncertifiedFieldError
 
 from whitney.linalg import JetSubspace
@@ -208,6 +208,19 @@ def test_low_order_columns_are_a_prefix(f21):
         assert all(sum(m) > r for m in high.monomials[len(low.monomials):])
         assert all(low.column(c, m) == high.column(c, m)
                    for m in low.monomials for c in range(low.ncomps))
+
+
+def test_order_R_rows_reappear_at_order_R_plus_1(germ_corpus):
+    # the new degree-(R+1) columns only touch the new degree-R equations, so
+    # the membership system at order R+1 extends the one at order R: the
+    # precondition for growing one echelon across an escalation
+    for name, f in germ_corpus.items():
+        previous = set()
+        for R in range(f.cap - 1):
+            rows = {frozenset(row.items())
+                    for row in _vi_constraint_rows(f, R, DeformAmbient(f, R))}
+            assert previous <= rows, (name, R - 1)
+            previous = rows
 
 
 def test_flat_line_slice_dims(flat_line):
