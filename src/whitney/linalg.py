@@ -101,9 +101,9 @@ class Echelon:
         """Make every pivot column appear only in its own row (canonical form).
 
         The scan over every pair of pivots is kept on purpose: its callers
-        (``JetSubspace.sum``/``to_doc`` and ``SolutionSpace.basis_iter``)
-        run it a few times per verdict, too rarely for a column index to
-        pay for itself.
+        (``JetSubspace.to_doc`` and ``SolutionSpace.basis_iter``) run it a
+        few times per verdict, too rarely for a column index to pay for
+        itself.
         """
         for col in sorted(self.pivots, reverse=True):
             prow = self.pivots[col]
@@ -122,7 +122,7 @@ class JetSubspace:
 
     Stored as a canonically reduced basis of sparse integer rows over an
     ambient space of fixed dimension.  Supports the subspace calculus needed
-    by the jet computations: membership, residuals, containment and sum, all
+    by the jet computations: membership, residuals and containment, all
     exact.
     """
 
@@ -144,9 +144,6 @@ class JetSubspace:
             if not 0 <= c < self.ambient_dim:
                 raise ValueError(f"column {c} outside ambient of dim {self.ambient_dim}")
         return self._ech.insert(row)
-
-    def canonicalize(self):
-        self._ech.back_substitute()
 
     # -- queries -------------------------------------------------------------
 
@@ -174,24 +171,11 @@ class JetSubspace:
     def basis_rows(self) -> List[Row]:
         return self._ech.rows()
 
-    # -- subspace calculus ----------------------------------------------------
-
-    def sum(self, other: "JetSubspace") -> "JetSubspace":
-        if other.ambient_dim != self.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        out = JetSubspace(self.ambient_dim)
-        for r in self.basis_rows():
-            out.insert(dict(r))
-        for r in other.basis_rows():
-            out.insert(dict(r))
-        out.canonicalize()
-        return out
-
     # -- serialization ----------------------------------------------------------
 
     def to_doc(self) -> dict:
         """Matrix-of-rationals document: pivot-normalized rows, deterministic."""
-        self.canonicalize()
+        self._ech.back_substitute()
         rows_doc = []
         for row in self.basis_rows():
             pivot_val = row[_pivot(row)]

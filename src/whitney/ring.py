@@ -328,24 +328,19 @@ class TruncatedPoly:
         kinds = first.kinds
         nvars = first.nvars
         result = TruncatedPoly.zero(nvars, cap, kinds)
-        power_cache = {}
-
-        def var_power(i: int, e: int) -> TruncatedPoly:
-            key = (i, e)
-            got = power_cache.get(key)
-            if got is None:
-                if e == 0:
-                    got = TruncatedPoly.const(1, nvars, cap, kinds)
-                else:
-                    got = var_power(i, e - 1) * images[i]
-                power_cache[key] = got
-            return got
+        # powers[i][k] is images[i]**(k+1) at this cap, grown on demand
+        powers = {}
 
         for mono, coeff in self.terms.items():
             piece = TruncatedPoly.const(coeff, nvars, cap, kinds)
             for i, e in enumerate(mono):
                 if e:
-                    piece = piece * var_power(i, e)
+                    pw = powers.get(i)
+                    if pw is None:
+                        pw = powers[i] = [images[i].truncate(cap)]
+                    while len(pw) < e:
+                        pw.append(pw[-1] * images[i])
+                    piece = piece * pw[e - 1]
                 if piece.is_zero():
                     break
             result = result + piece
@@ -508,93 +503,97 @@ class _Tokenizer:
         return self.text[start:self.pos]
 
 
+class _Parser(_Tokenizer):
+    """Recursive-descent parser over the tokenizer; one instance per text."""
+
+    def __init__(self, text: str, names: Sequence[str], cap: int,
+                 kinds: Sequence[str]):
+        super().__init__(text)
+        self.nvars = len(names)
+        self.index = {name: i for i, name in enumerate(names)}
+        self.cap = cap
+        self.kinds = kinds
+
+    def parse_sum(self):
+        value = self.parse_product()
+        while True:
+            ch = self.peek()
+            if ch == "+":
+                self.pos += 1
+                value = value + self.parse_product()
+            elif ch == "-":
+                self.pos += 1
+                value = value - self.parse_product()
+            else:
+                return value
+
+    def parse_product(self):
+        value = self.parse_atom()
+        while self.peek() == "*":
+            self.pos += 1
+            value = value * self.parse_atom()
+        return value
+
+    def parse_atom(self):
+        ch = self.peek()
+        if ch is None:
+            raise ParseError("unexpected end of expression")
+        if ch == "-":
+            self.pos += 1
+            return -self.parse_atom()
+        if ch == "(":
+            self.pos += 1
+            value = self.parse_sum()
+            if self.peek() != ")":
+                raise ParseError("missing closing parenthesis")
+            self.pos += 1
+            return self.parse_power_suffix(value)
+        if ch.isdigit():
+            value = TruncatedPoly.const(self.take_number(), self.nvars,
+                                        self.cap, self.kinds)
+            return self.parse_power_suffix(value)
+        if ch.isalpha() or ch == "_":
+            name = self.take_name()
+            if name not in self.index:
+                raise ParseError(f"unknown variable {name!r}")
+            value = TruncatedPoly.var(self.index[name], self.nvars, self.cap,
+                                      self.kinds)
+            return self.parse_power_suffix(value)
+        raise ParseError(f"unexpected character {ch!r} at position {self.pos}")
+
+    def parse_power_suffix(self, value):
+        while self.peek() == "^":
+            self.pos += 1
+            ch = self.peek()
+            if ch is None or not ch.isdigit():
+                raise ParseError("exponent must be a nonnegative integer")
+            start = self.pos
+            while self.pos < len(self.text) and self.text[self.pos].isdigit():
+                self.pos += 1
+            value = value ** int(self.text[start:self.pos])
+        return value
+
+
 def parse_expression(
     text: str, names: Sequence[str], cap: int, kinds: Sequence[str]
 ) -> TruncatedPoly:
     """Parse ``text`` in the small grammar: rationals a/b, named variables,
     ``+ - * ^`` and parentheses.  Round-trips with :meth:`TruncatedPoly.render`.
     """
-    nvars = len(names)
-    index = {name: i for i, name in enumerate(names)}
-    tok = _Tokenizer(text)
-
-    def parse_sum():
-        value = parse_product()
-        while True:
-            ch = tok.peek()
-            if ch == "+":
-                tok.pos += 1
-                value = value + parse_product()
-            elif ch == "-":
-                tok.pos += 1
-                value = value - parse_product()
-            else:
-                return value
-
-    def parse_product():
-        value = parse_atom()
-        while tok.peek() == "*":
-            tok.pos += 1
-            value = value * parse_atom()
-        return value
-
-    def parse_atom():
-        ch = tok.peek()
-        if ch is None:
-            raise ParseError("unexpected end of expression")
-        if ch == "-":
-            tok.pos += 1
-            return -parse_atom()
-        if ch == "(":
-            tok.pos += 1
-            value = parse_sum()
-            if tok.peek() != ")":
-                raise ParseError("missing closing parenthesis")
-            tok.pos += 1
-            return parse_power_suffix(value)
-        if ch.isdigit():
-            value = TruncatedPoly.const(tok.take_number(), nvars, cap, kinds)
-            return parse_power_suffix(value)
-        if ch.isalpha() or ch == "_":
-            name = tok.take_name()
-            if name not in index:
-                raise ParseError(f"unknown variable {name!r}")
-            value = TruncatedPoly.var(index[name], nvars, cap, kinds)
-            return parse_power_suffix(value)
-        raise ParseError(f"unexpected character {ch!r} at position {tok.pos}")
-
-    def parse_power_suffix(value):
-        while tok.peek() == "^":
-            tok.pos += 1
-            ch = tok.peek()
-            if ch is None or not ch.isdigit():
-                raise ParseError("exponent must be a nonnegative integer")
-            start = tok.pos
-            while tok.pos < len(tok.text) and tok.text[tok.pos].isdigit():
-                tok.pos += 1
-            value = value ** int(tok.text[start:tok.pos])
-        return value
-
+    parser = _Parser(text, names, cap, kinds)
     try:
-        result = parse_sum()
+        result = parser.parse_sum()
     except RecursionError:
         raise ParseError("expression nested too deeply") from None
-    if tok.peek() is not None:
-        raise ParseError(f"trailing input at position {tok.pos}")
+    if parser.peek() is not None:
+        raise ParseError(f"trailing input at position {parser.pos}")
     return result
 
 
 def monomials_upto(nvars: int, degree: int):
     """All exponent tuples of total degree <= degree, graded-lex order."""
-    result = []
-
-    def rec(prefix, slots, budget):
-        if slots == 0:
-            result.append(tuple(prefix))
-            return
-        for e in range(budget + 1):
-            rec(prefix + [e], slots - 1, budget - e)
-
-    rec([], nvars, degree)
+    result = [()]
+    for _ in range(nvars):
+        result = [m + (e,) for m in result for e in range(degree - sum(m) + 1)]
     result.sort(key=lambda m: (sum(m), m))
     return result

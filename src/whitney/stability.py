@@ -121,54 +121,30 @@ def pullback_products(f: IntegralMap, degree: int):
     usable = [i for i, c in enumerate(comps) if not c.is_zero()]
     one = f.source.const(1, degree)
     out = [(0, 0, one)]
-
-    def rec(slot: int, nfac: int, base_fac: int, prod: TruncatedPoly):
-        for pos in range(slot, len(usable)):
-            i = usable[pos]
-            nxt = prod * comps[i]
-            if nxt.is_zero():
-                continue
-            nb = base_fac + (1 if i >= f.n else 0)
-            out.append((nfac + 1, nb, nxt))
-            rec(pos, nfac + 1, nb, nxt)
-
-    rec(0, 0, 0, one)
+    # depth-first in preorder: a frame (next slot, n_factors, n_base_factors,
+    # product) multiplies by components from its slot on, and a new product
+    # is expanded before its parent moves to the next slot
+    stack = [(0, 0, 0, one)]
+    while stack:
+        pos, nfac, base_fac, prod = stack.pop()
+        if pos == len(usable):
+            continue
+        stack.append((pos + 1, nfac, base_fac, prod))
+        i = usable[pos]
+        nxt = prod * comps[i]
+        if nxt.is_zero():
+            continue
+        nb = base_fac + (1 if i >= f.n else 0)
+        out.append((nfac + 1, nb, nxt))
+        stack.append((pos, nfac + 1, nb, nxt))
     return out
-
-
-def _products_span(f: IntegralMap, degree: int, products, min_factors: int = 0,
-                   min_base_factors: int = 0) -> JetSubspace:
-    amb = PolyAmbient(f.source.dim, degree)
-    return JetSubspace.from_rows(amb.dim, (
-        amb.poly_to_row(poly) for nfac, base_fac, poly in products
-        if nfac >= min_factors and base_fac >= min_base_factors))
 
 
 def pullback_algebra_span(f: IntegralMap, degree: int) -> JetSubspace:
     """Truncation of the pullback algebra of target functions."""
-    return _products_span(f, degree, pullback_products(f, degree))
-
-
-def pullback_power_span(f: IntegralMap, degree: int, k: int) -> JetSubspace:
-    """Truncation of the pullbacks from the k-th power of the target
-    maximal ideal."""
-    return _products_span(f, degree, pullback_products(f, degree), min_factors=k)
-
-
-def base_ideal_span(f: IntegralMap, degree: int) -> JetSubspace:
-    """Truncation of (base functions vanishing at 0) * pullback algebra,
-    the fibration base acting through q o f and r o f."""
-    return _products_span(f, degree, pullback_products(f, degree),
-                          min_base_factors=1)
-
-
-def _p_class_span(f: IntegralMap, degree: int) -> JetSubspace:
     amb = PolyAmbient(f.source.dim, degree)
-    sub = JetSubspace(amb.dim)
-    sub.insert(amb.poly_to_row(f.source.const(1, degree)))
-    for i in range(f.n):
-        sub.insert(amb.poly_to_row(f.p_component(i)))
-    return sub
+    return JetSubspace.from_rows(amb.dim, (
+        amb.poly_to_row(poly) for _, _, poly in pullback_products(f, degree)))
 
 
 # -- local multiplicity --------------------------------------------------------------
@@ -233,72 +209,67 @@ def _hamiltonian_exponents(f: IntegralMap, order: int, legendre: bool):
     finite = [o for o in orders if o is not None]
     maxord = max(finite) if finite else 1
     budget = order + maxord
-    result = []
-
-    def rec(slot: int, e: List[int], weighted: int, total: int):
-        if slot == ncomps:
-            if any(e):
-                result.append(tuple(e))
-            return
-        if legendre and slot < f.n:
-            # affine in p: at most one p factor overall
-            limit = 1 - sum(e[:slot])
-        else:
-            limit = None
-        k = 0
-        while True:
-            if limit is not None and k > limit:
-                break
-            if total + k > order + 2:
-                break
-            w = orders[slot]
-            if w is None:
-                if k > 1:
-                    break
-                extra = 0
+    # (prefix, weighted order, total degree), extended one slot at a time;
+    # extending each prefix in ascending k keeps the prefixes in
+    # lexicographic order
+    prefixes = [((), 0, 0)]
+    for slot in range(ncomps):
+        w = orders[slot]
+        grown = []
+        for e, weighted, total in prefixes:
+            if legendre and slot < f.n:
+                # affine in p: at most one p factor overall
+                limit = 1 - sum(e)
             else:
-                extra = w * k
-                if weighted + extra > budget:
+                limit = None
+            k = 0
+            while True:
+                if limit is not None and k > limit:
                     break
-            e[slot] = k
-            rec(slot + 1, e, weighted + extra, total + k)
-            e[slot] = 0
-            k += 1
+                if total + k > order + 2:
+                    break
+                if w is None:
+                    if k > 1:
+                        break
+                    extra = 0
+                else:
+                    extra = w * k
+                    if weighted + extra > budget:
+                        break
+                grown.append((e + (k,), weighted + extra, total + k))
+                k += 1
+        prefixes = grown
+    return [e for e, _, _ in prefixes if any(e)]
 
-    rec(0, [0] * ncomps, 0, 0)
-    return result
+
+def _composed_monomial(table: Dict[Tuple[int, ...], Optional[TruncatedPoly]],
+                       comps: List[TruncatedPoly], e: Tuple[int, ...]
+                       ) -> Optional[TruncatedPoly]:
+    """Product of component powers comps**e, or None when it truncates to
+    zero.  ``table`` memoizes every exponent reached and must hold the zero
+    exponent; a missing one comes from its predecessor along the first
+    positive slot."""
+    chain = []
+    while e not in table:
+        i = next(i for i, k in enumerate(e) if k)
+        chain.append((e, i))
+        e = e[:i] + (e[i] - 1,) + e[i + 1:]
+    val = table[e]
+    for key, i in reversed(chain):
+        if val is not None:
+            val = val * comps[i]
+            if val.is_zero():
+                val = None
+        table[key] = val
+    return val
 
 
 def _composed_monomials(f: IntegralMap, order: int):
-    """DP table: target exponent tuple -> product of component powers,
-    truncated at the jet order; zero entries pruned."""
-    table: Dict[Tuple[int, ...], TruncatedPoly] = {}
-    one = f.source.const(1, order)
-    zero_key = (0,) * (2 * f.n + 1)
-    table[zero_key] = one
+    """Lookup target exponent tuple -> product of component powers,
+    truncated at the jet order (None when zero), memoized per call."""
+    table = {(0,) * (2 * f.n + 1): f.source.const(1, order)}
     comps = [c.truncate(order) if c.cap > order else c for c in f.components]
-
-    def get(e: Tuple[int, ...]) -> Optional[TruncatedPoly]:
-        got = table.get(e)
-        if got is not None:
-            return got if not got.is_zero() else None
-        if e == zero_key:
-            return one
-        # reduce along the first positive slot
-        for i, k in enumerate(e):
-            if k:
-                prev = get(e[:i] + (k - 1,) + e[i + 1:])
-                if prev is None:
-                    val = None
-                else:
-                    val = prev * comps[i]
-                    if val.is_zero():
-                        val = None
-                table[e] = val if val is not None else f.source.zero(order)
-                return val
-        return None
-
-    return get
+    return partial(_composed_monomial, table, comps)
 
 
 def _wf_rows(f: IntegralMap, order: int, ambient: DeformAmbient, legendre: bool):
@@ -370,11 +341,13 @@ def _stability_check(f: IntegralMap, order: int, legendre: bool,
     if not annihilates(constraints, tf_rows + wf_rows):
         raise CapShortfallError("generator escaped the jet slice; cap too small?")
     outer_dim = SolutionSpace(constraints, ambient.dim).dim
-    tf_span = JetSubspace.from_rows(ambient.dim, (dict(r) for r in tf_rows))
-    wf_span = JetSubspace.from_rows(ambient.dim, (dict(r) for r in wf_rows))
-    total = JetSubspace(ambient.dim)
-    for row in tf_rows + wf_rows:
-        total.insert(dict(row))
+    # the tf rows go in first, so the rank at that checkpoint is the
+    # pushforward span
+    total = JetSubspace.from_rows(ambient.dim, tf_rows)
+    tf_dim = total.dim
+    for row in wf_rows:
+        total.insert(row)
+    wf_span = JetSubspace.from_rows(ambient.dim, wf_rows)
     if outer_dim == total.dim:
         # the one-shot slice already agrees with the span: projection can
         # only sit between them, so the verdict is pinched to pass
@@ -412,7 +385,7 @@ def _stability_check(f: IntegralMap, order: int, legendre: bool,
         verdict=verdict,
         dims={
             "deformation_slice": slice_data.dim,
-            "pushforward_span": tf_span.dim,
+            "pushforward_span": tf_dim,
             "hamiltonian_span": wf_span.dim,
             "combined_span": total.dim,
             "deficiency": deficiency,
@@ -450,12 +423,29 @@ def check_legendre_stability(f: IntegralMap, order: int) -> StabilityReport:
 
 def _fiber_generation_at(f: IntegralMap, degree: int) -> Tuple[int, int, bool]:
     """(algebra dim, denominator dim, generated by 1 and the p-components)
-    of the fiber quotient of the pullback algebra truncated at ``degree``."""
+    of the fiber quotient of the pullback algebra truncated at ``degree``.
+
+    The products go into one echelon in three phases: the denominator
+    (products with a base factor), then 1 and the p-components (the
+    products of at most one factor and no base factor), then the rest.
+    1 and the p_i are products themselves, so the final rank is the algebra
+    dim, and the quotient is generated exactly when the last phase adds no
+    pivot."""
+    amb = PolyAmbient(f.source.dim, degree)
     products = pullback_products(f, degree)
-    algebra = _products_span(f, degree, products)
-    denominator = _products_span(f, degree, products, min_base_factors=1)
-    generated = denominator.sum(_p_class_span(f, degree)).contains_subspace(algebra)
-    return algebra.dim, denominator.dim, generated
+    phases = ([poly for _, base_fac, poly in products if base_fac],
+              [poly for nfac, base_fac, poly in products
+               if not base_fac and nfac <= 1],
+              [poly for nfac, base_fac, poly in products
+               if not base_fac and nfac > 1])
+    ech = Echelon()
+    ranks = []
+    for phase in phases:
+        for poly in phase:
+            ech.insert(amb.poly_to_row(poly))
+        ranks.append(ech.rank)
+    denominator_dim, generators_dim, algebra_dim = ranks
+    return algebra_dim, denominator_dim, algebra_dim == generators_dim
 
 
 def _gated_verdict(f: IntegralMap, order: int,
@@ -578,21 +568,21 @@ def _inclusion_order_at(f: IntegralMap, degree: int, search_cap: int) -> Optiona
     # Columns go in reversed (c -> top - c), so a stored row's pivot is its
     # first monomial in graded order.  Pivots are distinct, so any
     # combination of stored rows starts at the lowest pivot it uses, and the
-    # algebra elements of order >= k are spanned exactly by the stored rows
-    # of pivot degree >= k.  The answer is thus the largest pivot degree of
-    # a row outside the target, found by visiting rows from the top down.
+    # elements of order >= k of a span are spanned exactly by its stored
+    # rows of pivot degree >= k.  The target products (n+2 factors or more)
+    # go in first and their rows are never changed afterwards, so
+    # dim A>=k - dim T>=k counts the later rows of pivot degree >= k: the
+    # answer is the largest pivot degree of a row stored after the target.
     products = pullback_products(f, degree)
-    algebra = Echelon()
-    for _, _, poly in products:
-        algebra.insert({top - c: v for c, v in amb.poly_to_row(poly).items()})
-    target = _products_span(f, degree, products, min_factors=f.n + 2)
-    order = 0
-    for col in sorted(algebra.pivots):
-        pivot_degree = sum(amb.monomials[top - col])
-        if pivot_degree <= order:
-            break
-        if not target.contains({top - c: v for c, v in algebra.pivots[col].items()}):
-            order = pivot_degree
+    ech = Echelon()
+    for in_target in (True, False):
+        for nfac, _, poly in products:
+            if (nfac >= f.n + 2) == in_target:
+                ech.insert({top - c: v for c, v in amb.poly_to_row(poly).items()})
+        if in_target:
+            target = set(ech.pivots)
+    order = max((sum(amb.monomials[top - col]) for col in ech.pivots
+                 if col not in target), default=0)
     return order if order <= search_cap else None
 
 

@@ -226,7 +226,9 @@ def test_front_rejects_large_n(tmp_path):
 
 
 # Default reports, pinned byte for byte: a change that keeps the verdicts must
-# leave them unchanged.  The cusp report is a fail verdict with its witness.
+# leave them unchanged.  The cusp report is a fail verdict with its witness;
+# the a2r reports pin the fiber quotient dims, once generated by 1 and the
+# p-components and once not.
 FIVE_SPACE_LEGENDRE_3 = """\
 {
   "cap": 10,
@@ -286,12 +288,70 @@ CUSP_CONTACT_4 = """\
   ]
 }
 """
+FIVE_SPACE_A2R_3 = """\
+{
+  "cap": 10,
+  "caveats": [
+    "umbrella gate decided by the contact check at the same order"
+  ],
+  "dims": {
+    "algebra_slice": 14,
+    "denominator": 11,
+    "fiber_quotient": 3
+  },
+  "generator_bounds": {},
+  "germ": "user[n=2]",
+  "mode": "a2r",
+  "order": 3,
+  "sub_verdicts": {
+    "generated_by_1_and_p": "pass",
+    "umbrella_gate": "pass"
+  },
+  "verdict": "pass",
+  "witnesses": []
+}
+"""
+# fiber quotient of dim 3, not generated by 1 and the p-components
+UV_NOT_GENERATED = """\
+n = 2
+cap = 7
+u = x2^3
+v = x2^2
+complete = true
+"""
+UV_NOT_GENERATED_A2R_3 = """\
+{
+  "cap": 7,
+  "caveats": [
+    "umbrella gate decided by the contact check at the same order"
+  ],
+  "dims": {
+    "algebra_slice": 11,
+    "denominator": 8,
+    "fiber_quotient": 3
+  },
+  "generator_bounds": {},
+  "germ": "completed[n=2]",
+  "mode": "a2r",
+  "order": 3,
+  "sub_verdicts": {
+    "generated_by_1_and_p": "fail",
+    "umbrella_gate": "fail"
+  },
+  "verdict": "fail",
+  "witnesses": []
+}
+"""
 
 
 def test_reports_byte_identical(tmp_path, capsys):
     pinned = ((FIVE_SPACE, ["--mode", "legendre", "--order", "3"], 0,
                FIVE_SPACE_LEGENDRE_3),
-              (CUSP, ["--mode", "contact", "--order", "4"], 1, CUSP_CONTACT_4))
+              (CUSP, ["--mode", "contact", "--order", "4"], 1, CUSP_CONTACT_4),
+              (FIVE_SPACE, ["--mode", "a2r", "--order", "3"], 0,
+               FIVE_SPACE_A2R_3),
+              (UV_NOT_GENERATED, ["--mode", "a2r", "--order", "3"], 1,
+               UV_NOT_GENERATED_A2R_3))
     for text, args, code, report in pinned:
         path = write(tmp_path, "germ.germ", text)
         for _ in range(2):

@@ -7,10 +7,11 @@ from fractions import Fraction
 import pytest
 
 from whitney.deformations import deformation_slice, rf_truncated
+from whitney.forms import source_chart
 from whitney.integral_maps import complete_from_uv, owu_normal_form
 from whitney.ring import TruncatedPoly, monomials_upto
-from whitney.stability import (_inclusion_order_at, compute_conclusive_order,
-                               fiber_quotient)
+from whitney.stability import (_fiber_generation_at, _inclusion_order_at,
+                               compute_conclusive_order, fiber_quotient)
 
 import oracles
 
@@ -52,23 +53,32 @@ def test_rf_dimension_matches_oracle(germ_corpus, name):
     assert lib.dim == dim, name
 
 
-@pytest.mark.parametrize("name", sorted(ORACLE_ORDERS))
+def not_generated_germ():
+    """complete_from_uv(2, x2^3, x2^2) at cap 7: from degree 4 on, its fiber
+    quotient (dim 3) is not generated by 1 and the p-components."""
+    ch = source_chart(2)
+    x2 = ch.var(1, 7)
+    return complete_from_uv(2, x2 ** 3, x2 ** 2, source=ch)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_ORDERS) + ["not_generated"])
 def test_fiber_quotient_matches_oracle(germ_corpus, name):
-    f = germ_corpus[name]
-    lib = fiber_quotient(f)
-    dims = []
-    gens = []
-    for degree in (f.cap - 1, f.cap):
-        dim, gen = oracles.oracle_fiber_quotient(
+    f = not_generated_germ() if name == "not_generated" else germ_corpus[name]
+    oracle = {}
+    for degree in range(2, f.cap + 1):
+        oracle[degree] = oracles.oracle_fiber_quotient(
             bare_components(f), f.n, f.source.dim, degree)
-        dims.append(dim)
-        gens.append(gen)
-    assert lib.dim == dims[1], name
-    assert lib.generated == gens[1], name
+        algebra_dim, denominator_dim, generated = _fiber_generation_at(f, degree)
+        assert (algebra_dim - denominator_dim, generated) == oracle[degree], \
+            (name, degree)
+    lib = fiber_quotient(f)
+    assert (lib.dim, lib.generated) == oracle[f.cap], name
     # stabilization flag also covers the multiplicity check, so it can only
     # be stricter than bare dimension agreement
     if lib.stabilized:
-        assert dims[0] == dims[1] and gens[0] == gens[1], name
+        assert oracle[f.cap - 1] == oracle[f.cap], name
+    if name == "not_generated":
+        assert (lib.dim, lib.generated) == (3, False)
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_ORDERS))

@@ -1,22 +1,25 @@
 """Stability verdicts, fiber generation, conclusive orders, classification,
 unfolding extension."""
 
+import gc
 import random
 from fractions import Fraction
 
 import pytest
 
+from whitney.deformations import DeformAmbient
 from whitney.errors import CapShortfallError, VariableMismatchError
 from whitney.forms import source_chart
 from whitney.integral_maps import (IntegralMap, complete_from_uv,
                                    integrality_violation, owu_normal_form)
-from whitney.ring import TruncatedPoly, monomials_upto
-from whitney.stability import (check_contact_stability,
+from whitney.ring import TruncatedPoly, monomials_upto, parse_expression
+from whitney.stability import (_wf_rows, check_contact_stability,
                                check_fiber_generation, check_generation_stable,
                                check_legendre_stability, classify_umbrella,
                                compute_conclusive_order, default_order,
                                extend_unfoldings, fiber_quotient,
-                               local_multiplicity, pullback_algebra_span)
+                               local_multiplicity, pullback_algebra_span,
+                               pullback_products)
 
 
 
@@ -112,6 +115,30 @@ def test_algebra_span_is_fresh_per_call(f21):
     outside = next(c for c in range(span.ambient_dim) if not span.contains({c: 1}))
     assert span.insert({outside: 1})
     assert pullback_algebra_span(f21, 4).dim == dim
+
+
+def test_calls_leave_no_cyclic_garbage():
+    # a call's working data must be freed by reference counting when it
+    # returns, not kept alive by a reference cycle until a full collection
+    f = owu_normal_form(2, 1, cap=8)
+    x1, x2 = (f.source.var(i, 8) for i in range(2))
+    calls = [
+        ("pullback_products", lambda: pullback_products(f, 8)),
+        ("_wf_rows", lambda: _wf_rows(f, 4, DeformAmbient(f, 4), False)),
+        ("compute_conclusive_order", lambda: compute_conclusive_order(f)),
+        ("monomials_upto", lambda: monomials_upto(3, 5)),
+        ("substitute", lambda: (x1 * x2 + x2 ** 3).substitute([x1 + x2, x1 * x2])),
+        ("parse_expression", lambda: parse_expression(
+            "(x1 + 2*x2)^3 - -x1*x2", f.source.names, 8, f.source.kinds)),
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        for name, call in calls:
+            call()
+            assert gc.collect() == 0, name
+    finally:
+        gc.enable()
 
 
 # -- fiber generation -------------------------------------------------------------------
