@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import List, Optional
 
@@ -72,6 +73,8 @@ def cmd_check(args) -> int:
         raise WhitneyError("checks need a germ without deformation parameters")
     f = doc.to_integral_map(cap=args.cap)
     order = args.order if args.order is not None else doc.order
+    if order is not None and order < 0:
+        raise WhitneyError(f"jet order must be >= 0, got {order}")
     caveat = None
     if order is None:
         order, caveat = default_order(f)
@@ -158,6 +161,8 @@ def _parse_param_grid(grid_arg: Optional[str], params) -> List[List[float]]:
             if len(parts) != 3:
                 raise WhitneyError("--param-grid wants name=start:stop:count")
             start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+            if not (math.isfinite(start) and math.isfinite(stop)):
+                raise WhitneyError("--param-grid start and stop must be finite")
             if count < 1:
                 raise WhitneyError("--param-grid count must be >= 1")
             if count == 1:
@@ -177,6 +182,8 @@ def cmd_front(args) -> int:
     span = args.range
     if m < 2:
         raise WhitneyError("--samples must be >= 2")
+    if not math.isfinite(span):
+        raise WhitneyError("--range must be finite")
     axis = [-span + 2 * span * i / (m - 1) for i in range(m)]
     param_grids = _parse_param_grid(args.param_grid, f.params)
     header = [f"q{i + 1}" for i in range(f.n)] + ["r"] + list(f.params)

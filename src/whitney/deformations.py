@@ -57,9 +57,6 @@ class DeformationField:
         self._violation = None
         self._checked = False
 
-    def phi(self, i: int) -> TruncatedPoly:
-        return self.components[i]
-
     def xi(self, i: int) -> TruncatedPoly:
         return self.components[self.base.n + i]
 
@@ -193,7 +190,8 @@ class DeformAmbient:
 
     Column index is monomial-major with graded ascending monomials, so the
     largest column of a vector is its highest-degree coefficient; the
-    elimination pivots on those.
+    constraint systems pivot on those (the generator spans of ``stability``
+    reverse the columns and pivot on the lowest-degree one).
     """
 
     def __init__(self, f: IntegralMap, order: int):
@@ -233,10 +231,8 @@ class DeformAmbient:
 class PolyAmbient:
     """Coordinates on the space of function jets of degree <= order."""
 
-    def __init__(self, nvars: int, order: int, kinds=None):
-        self.nvars = nvars
+    def __init__(self, nvars: int, order: int):
         self.order = order
-        self.kinds = kinds
         self.monomials = monomials_upto(nvars, order)
         self.mono_pos = {m: i for i, m in enumerate(self.monomials)}
         self.dim = len(self.monomials)
@@ -420,12 +416,10 @@ class SliceData:
     working_order: int
     stabilized: bool
     dim: int
-    variant: str
 
 
-def deformation_slice(f: IntegralMap, order: int, variant: str = "full",
-                      max_working_order: Optional[int] = None,
-                      e_degree: Optional[int] = None) -> SliceData:
+def deformation_slice(f: IntegralMap, order: int,
+                      max_working_order: Optional[int] = None) -> SliceData:
     """Projected jet slice of the deformation space at the given order,
     escalated from the slice order to at most ``max_working_order``
     (default cap - 1)."""
@@ -434,18 +428,15 @@ def deformation_slice(f: IntegralMap, order: int, variant: str = "full",
     if max_working_order < order:
         raise CapShortfallError(
             f"slice at order {order} needs cap >= {order + 1}, f has {f.cap}")
-    system_at = partial(_slice_system, f, order, variant=variant, e_degree=e_degree)
+    system_at = partial(_slice_system, f, order)
     R, dim, stabilized, _ = _escalate(system_at, order, max_working_order,
                                       _projected_dim(*system_at(order)))
-    return SliceData(order, R, stabilized, dim, variant)
+    return SliceData(order, R, stabilized, dim)
 
 
-def materialize_slice(f: IntegralMap, order: int, working_order: int,
-                      variant: str = "full",
-                      e_degree: Optional[int] = None) -> JetSubspace:
+def materialize_slice(f: IntegralMap, order: int, working_order: int) -> JetSubspace:
     """Reduced basis, in order-r jet coordinates, of the projected slice."""
-    return _project_solutions(*_slice_system(f, order, working_order, variant,
-                                             e_degree))
+    return _project_solutions(*_slice_system(f, order, working_order))
 
 
 def _stabilized_slice(f: IntegralMap, order: int, builder, **variant) -> JetSubspace:

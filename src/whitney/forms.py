@@ -66,9 +66,6 @@ class Chart:
     def var(self, index: int, cap: int) -> TruncatedPoly:
         return TruncatedPoly.var(index, self.dim, cap, self.kinds)
 
-    def var_named(self, name: str, cap: int) -> TruncatedPoly:
-        return self.var(self.names.index(name), cap)
-
     def parse(self, text: str, cap: int) -> TruncatedPoly:
         return ring.parse_expression(text, self.names, cap, self.kinds)
 
@@ -443,10 +440,6 @@ class FieldAlongMap:
 
     def scale(self, c) -> "FieldAlongMap":
         return FieldAlongMap(self.base, [p.scale(c) for p in self.components])
-
-    def mul_source_function(self, h: TruncatedPoly) -> "FieldAlongMap":
-        self.base.source.check_poly(h)
-        return FieldAlongMap(self.base, [h * p for p in self.components])
 
     # -- interior product and Lie derivative --------------------------------------
 

@@ -34,7 +34,7 @@ class IntegralMap:
 
     def __init__(self, n: int, components: Sequence[TruncatedPoly],
                  params: Sequence[str] = (), provenance: str = "user",
-                 source: Optional[Chart] = None, skip_checks: bool = False):
+                 source: Optional[Chart] = None):
         if len(components) != 2 * n + 1:
             raise VariableMismatchError(f"expected {2 * n + 1} components")
         self.n = n
@@ -51,17 +51,16 @@ class IntegralMap:
         self.cap = min(c.cap for c in components)
         for comp in components:
             source.check_poly(comp)
-        if not skip_checks:
-            for comp in components:
-                if comp.constant_term() != 0:
-                    raise NotIntegralError("components must vanish at the origin")
-            violation = integrality_violation(self)
-            if violation is not None:
-                raise NotIntegralError(
-                    f"candidate is not integral: lowest offending term {violation}",
-                    violation=violation)
-            if self.corank() > 1:
-                raise CorankError("germ has corank >= 2; library scope is corank <= 1")
+        for comp in components:
+            if comp.constant_term() != 0:
+                raise NotIntegralError("components must vanish at the origin")
+        violation = integrality_violation(self)
+        if violation is not None:
+            raise NotIntegralError(
+                f"candidate is not integral: lowest offending term {violation}",
+                violation=violation)
+        if self.corank() > 1:
+            raise CorankError("germ has corank >= 2; library scope is corank <= 1")
 
     # -- component accessors -----------------------------------------------
 

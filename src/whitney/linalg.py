@@ -6,15 +6,17 @@ with integer cross-multiplication and divides out the content, so no
 rational arithmetic and no rounding ever occurs.
 
 The pivot of a row is its *largest* column index.  Ambient orderings in this
-package place high-degree monomials at high indices, which keeps fill-in low
-when many shifted copies of a few generators are inserted.
+package place high-degree monomials at high indices.  Constraint systems keep
+that order (reversed, they ranked about ten times slower); the generator
+spans of ``stability`` reverse their columns, so that each stored row pivots
+on its lowest-degree monomial and truncation degrees are read off pivots.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 Row = Dict[int, int]
 
@@ -113,22 +115,18 @@ class Echelon:
                 if col in other:
                     self.pivots[other_col] = _eliminate(other, prow, col)
 
-    def rows(self) -> List[Row]:
-        return [self.pivots[c] for c in sorted(self.pivots, reverse=True)]
-
 
 class JetSubspace:
     """Finite-dimensional subspace of a truncated coefficient space.
 
     Stored as a canonically reduced basis of sparse integer rows over an
     ambient space of fixed dimension.  Supports the subspace calculus needed
-    by the jet computations: membership, residuals and containment, all
-    exact.
+    by the jet computations: membership and containment, both exact.
     """
 
-    def __init__(self, ambient_dim: int, echelon: Optional[Echelon] = None):
+    def __init__(self, ambient_dim: int):
         self.ambient_dim = ambient_dim
-        self._ech = echelon if echelon is not None else Echelon()
+        self._ech = Echelon()
 
     # -- construction ------------------------------------------------------
 
@@ -154,9 +152,6 @@ class JetSubspace:
     def contains(self, row: Row) -> bool:
         return not self._ech.reduce(dict(row))
 
-    def residual(self, row: Row) -> Row:
-        return self._ech.reduce(dict(row))
-
     def contains_subspace(self, other: "JetSubspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
@@ -169,7 +164,8 @@ class JetSubspace:
         )
 
     def basis_rows(self) -> List[Row]:
-        return self._ech.rows()
+        pivots = self._ech.pivots
+        return [pivots[c] for c in sorted(pivots, reverse=True)]
 
     # -- serialization ----------------------------------------------------------
 

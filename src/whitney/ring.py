@@ -393,12 +393,6 @@ class TruncatedPoly:
             )
         return TruncatedPoly(self.nvars, cap, self.kinds, self.terms)
 
-    def require_cap(self, needed: int, what: str = "operation"):
-        if self.cap < needed:
-            raise CapShortfallError(
-                f"{what} needs cap >= {needed}, input has cap {self.cap}"
-            )
-
     # -- float evaluation (CLI front sampler only) --------------------------
 
     def evaluate_float(self, point: Sequence[float]) -> float:

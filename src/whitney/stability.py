@@ -37,7 +37,7 @@ from .deformations import (DeformAmbient, PolyAmbient, SliceData, _escalate,
 from .errors import CapShortfallError, VariableMismatchError
 from .forms import source_chart
 from .integral_maps import IntegralMap, complete_from_uv
-from .linalg import (Echelon, JetSubspace, SolutionSpace, annihilates,
+from .linalg import (Echelon, JetSubspace, Row, SolutionSpace, annihilates,
                      row_from_fractions)
 from .ring import INF, TruncatedPoly, monomials_upto
 
@@ -107,6 +107,34 @@ def _germ_label(f: IntegralMap) -> str:
 # -- pullback algebra spans ----------------------------------------------------------
 
 
+class _SpanEchelon:
+    """Echelon of generator rows in which every stored row pivots on its
+    lowest-degree monomial, the local degree ordering of standard bases for
+    germs: the columns of an ambient laid out monomial-major over graded
+    ascending monomials go in reversed (c -> dim-1-c).  Stored rows never
+    change, so at each rank checkpoint the order->=k part of the span so far
+    is spanned by the rows of pivot degree >= k, and the projection of the
+    span to degree < k has rank the number of pivots of degree < k."""
+
+    def __init__(self, ambient):
+        self._ambient = ambient
+        self._ech = Echelon()
+
+    def insert(self, row: Row) -> bool:
+        top = self._ambient.dim - 1
+        return self._ech.insert({top - c: v for c, v in row.items()})
+
+    @property
+    def rank(self) -> int:
+        return self._ech.rank
+
+    def pivot_degrees(self) -> List[int]:
+        """Pivot degree of each stored row, in insertion order."""
+        amb = self._ambient
+        top, width = amb.dim - 1, amb.dim // len(amb.monomials)
+        return [sum(amb.monomials[(top - c) // width]) for c in self._ech.pivots]
+
+
 def pullback_products(f: IntegralMap, degree: int):
     """All distinct products of components truncated at ``degree``.
 
@@ -150,27 +178,25 @@ def pullback_algebra_span(f: IntegralMap, degree: int) -> JetSubspace:
 # -- local multiplicity --------------------------------------------------------------
 
 
-def _multiplicity_at(f: IntegralMap, degree: int) -> int:
+def local_multiplicity(f: IntegralMap, degree: Optional[int] = None):
+    """dim of source functions modulo the ideal of the components, at jet
+    scale, with a cap+1 stabilization flag (the degree-(d-1) system is the
+    projection of the degree-d one, so its rank is a pivot count)."""
+    degree = f.cap if degree is None else degree
+    if degree < 2:
+        raise CapShortfallError("multiplicity needs degree >= 2")
     amb = PolyAmbient(f.source.dim, degree)
     rows: Dict = {}
     for c, comp in enumerate(f.components):
         for m in amb.monomials:
             _scatter(rows, comp.terms.items(), m, degree,
                      lambda mu: ((c, m), amb.mono_pos[mu]))
-    ech = Echelon()
+    ech = _SpanEchelon(amb)
     for row in rows.values():
         ech.insert(row_from_fractions(row))
-    return amb.dim - ech.rank
-
-
-def local_multiplicity(f: IntegralMap, degree: Optional[int] = None):
-    """dim of source functions modulo the ideal of the components, at jet
-    scale, with a cap+1 stabilization flag."""
-    degree = f.cap if degree is None else degree
-    if degree < 2:
-        raise CapShortfallError("multiplicity needs degree >= 2")
-    low = _multiplicity_at(f, degree - 1)
-    high = _multiplicity_at(f, degree)
+    high = amb.dim - ech.rank
+    low = (math.comb(f.source.dim + degree - 1, f.source.dim)
+           - sum(d < degree for d in ech.pivot_degrees()))
     return high, low == high
 
 
@@ -326,8 +352,7 @@ def _wf_rows(f: IntegralMap, order: int, ambient: DeformAmbient, legendre: bool)
     return rows
 
 
-def _stability_check(f: IntegralMap, order: int, legendre: bool,
-                     germ_label: Optional[str] = None) -> StabilityReport:
+def _stability_check(f: IntegralMap, order: int, legendre: bool) -> StabilityReport:
     if f.params:
         raise VariableMismatchError("stability checks need a parameter-free germ")
     if f.cap < order + 1:
@@ -343,21 +368,24 @@ def _stability_check(f: IntegralMap, order: int, legendre: bool,
     outer_dim = SolutionSpace(constraints, ambient.dim).dim
     # the tf rows go in first, so the rank at that checkpoint is the
     # pushforward span
-    total = JetSubspace.from_rows(ambient.dim, tf_rows)
-    tf_dim = total.dim
+    total, wf_span = _SpanEchelon(ambient), _SpanEchelon(ambient)
+    for row in tf_rows:
+        total.insert(row)
+    tf_dim = total.rank
     for row in wf_rows:
         total.insert(row)
-    wf_span = JetSubspace.from_rows(ambient.dim, wf_rows)
-    if outer_dim == total.dim:
+        wf_span.insert(row)
+    combined_dim = total.rank
+    if outer_dim == combined_dim:
         # the one-shot slice already agrees with the span: projection can
         # only sit between them, so the verdict is pinched to pass
-        slice_data = SliceData(order, order, True, outer_dim, "full")
+        slice_data = SliceData(order, order, True, outer_dim)
     else:
         # the escalation starts from the order-r dimension ranked above
         R, dim, stabilized, _ = _escalate(partial(_slice_system, f, order),
                                           order, f.cap - 1, outer_dim)
-        slice_data = SliceData(order, R, stabilized, dim, "full")
-    deficiency = slice_data.dim - total.dim
+        slice_data = SliceData(order, R, stabilized, dim)
+    deficiency = slice_data.dim - combined_dim
     if deficiency == 0:
         verdict = "pass"
     elif slice_data.stabilized:
@@ -366,19 +394,16 @@ def _stability_check(f: IntegralMap, order: int, legendre: bool,
         verdict = "inconclusive"
     witnesses = []
     if verdict == "fail":
-        seen = Echelon()
-        found = 0
+        # greedy, so the witnesses are independent modulo the combined span
         materialized = materialize_slice(f, order, slice_data.working_order)
         for vec in materialized.basis_rows():
-            residual = total.residual(vec)
-            if residual and seen.insert(residual):
+            if total.insert(vec):
                 witnesses.append(ambient.row_to_field(vec))
-                found += 1
-                if found == deficiency:
+                if len(witnesses) == deficiency:
                     break
     mode = "legendre" if legendre else "contact"
     report = StabilityReport(
-        germ=germ_label or _germ_label(f),
+        germ=_germ_label(f),
         mode=mode,
         order=order,
         cap=f.cap,
@@ -386,8 +411,8 @@ def _stability_check(f: IntegralMap, order: int, legendre: bool,
         dims={
             "deformation_slice": slice_data.dim,
             "pushforward_span": tf_dim,
-            "hamiltonian_span": wf_span.dim,
-            "combined_span": total.dim,
+            "hamiltonian_span": wf_span.rank,
+            "combined_span": combined_dim,
             "deficiency": deficiency,
         },
         sub_verdicts={
@@ -421,31 +446,33 @@ def check_legendre_stability(f: IntegralMap, order: int) -> StabilityReport:
 # -- fiber generation conditions ----------------------------------------------------
 
 
-def _fiber_generation_at(f: IntegralMap, degree: int) -> Tuple[int, int, bool]:
+def _fiber_generation_at(f: IntegralMap, degree: int
+                         ) -> List[Tuple[int, int, bool]]:
     """(algebra dim, denominator dim, generated by 1 and the p-components)
-    of the fiber quotient of the pullback algebra truncated at ``degree``.
+    of the fiber quotient of the pullback algebra truncated at ``degree``-1
+    and at ``degree``.
 
     The products go into one echelon in three phases: the denominator
     (products with a base factor), then 1 and the p-components (the
     products of at most one factor and no base factor), then the rest.
     1 and the p_i are products themselves, so the final rank is the algebra
     dim, and the quotient is generated exactly when the last phase adds no
-    pivot."""
+    pivot.  The degree-(d-1) products are the degree-d ones truncated, so
+    their dims are pivot counts at the same checkpoints."""
     amb = PolyAmbient(f.source.dim, degree)
     products = pullback_products(f, degree)
-    phases = ([poly for _, base_fac, poly in products if base_fac],
-              [poly for nfac, base_fac, poly in products
-               if not base_fac and nfac <= 1],
-              [poly for nfac, base_fac, poly in products
-               if not base_fac and nfac > 1])
-    ech = Echelon()
+    ech = _SpanEchelon(amb)
     ranks = []
-    for phase in phases:
-        for poly in phase:
-            ech.insert(amb.poly_to_row(poly))
+    for phase in range(3):
+        for nfac, base_fac, poly in products:
+            if (0 if base_fac else 1 if nfac <= 1 else 2) == phase:
+                ech.insert(amb.poly_to_row(poly))
         ranks.append(ech.rank)
-    denominator_dim, generators_dim, algebra_dim = ranks
-    return algebra_dim, denominator_dim, algebra_dim == generators_dim
+    degrees = ech.pivot_degrees()
+    dims = [[sum(d <= bound for d in degrees[:rank]) for rank in ranks]
+            for bound in (degree - 1, degree)]
+    return [(algebra, denominator, algebra == generators)
+            for denominator, generators, algebra in dims]
 
 
 def _gated_verdict(f: IntegralMap, order: int,
@@ -477,7 +504,7 @@ def check_fiber_generation(f: IntegralMap, order: int,
     if f.cap < degree:
         raise CapShortfallError(
             f"fiber generation at order {order} needs cap >= {degree}")
-    algebra_dim, denominator_dim, generated = _fiber_generation_at(f, degree)
+    algebra_dim, denominator_dim, generated = _fiber_generation_at(f, degree)[1]
     verdict, gate = _gated_verdict(f, order, contact_report, generated)
     report = StabilityReport(
         germ=_germ_label(f),
@@ -515,8 +542,7 @@ def fiber_quotient(f: IntegralMap, degree: Optional[int] = None) -> FiberQuotien
     if degree < 2:
         raise CapShortfallError("fiber quotient needs degree >= 2")
     _, mult_stable = local_multiplicity(f, degree)
-    (a0, d0, gen0), (a1, d1, gen1) = (_fiber_generation_at(f, d)
-                                      for d in (degree - 1, degree))
+    (a0, d0, gen0), (a1, d1, gen1) = _fiber_generation_at(f, degree)
     return FiberQuotient(dim=a1 - d1, generated=gen1,
                          stabilized=(a0 - d0 == a1 - d1 and gen0 == gen1
                                      and mult_stable),
@@ -564,25 +590,17 @@ class ConclusiveOrder:
 
 def _inclusion_order_at(f: IntegralMap, degree: int, search_cap: int) -> Optional[int]:
     amb = PolyAmbient(f.source.dim, degree)
-    top = amb.dim - 1
-    # Columns go in reversed (c -> top - c), so a stored row's pivot is its
-    # first monomial in graded order.  Pivots are distinct, so any
-    # combination of stored rows starts at the lowest pivot it uses, and the
-    # elements of order >= k of a span are spanned exactly by its stored
-    # rows of pivot degree >= k.  The target products (n+2 factors or more)
-    # go in first and their rows are never changed afterwards, so
-    # dim A>=k - dim T>=k counts the later rows of pivot degree >= k: the
-    # answer is the largest pivot degree of a row stored after the target.
+    # the target products (n+2 factors or more) go in first, so dim A>=k -
+    # dim T>=k counts the later rows of pivot degree >= k
     products = pullback_products(f, degree)
-    ech = Echelon()
+    ech = _SpanEchelon(amb)
     for in_target in (True, False):
         for nfac, _, poly in products:
             if (nfac >= f.n + 2) == in_target:
-                ech.insert({top - c: v for c, v in amb.poly_to_row(poly).items()})
+                ech.insert(amb.poly_to_row(poly))
         if in_target:
-            target = set(ech.pivots)
-    order = max((sum(amb.monomials[top - col]) for col in ech.pivots
-                 if col not in target), default=0)
+            target_rank = ech.rank
+    order = max(ech.pivot_degrees()[target_rank:], default=0)
     return order if order <= search_cap else None
 
 

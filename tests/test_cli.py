@@ -6,9 +6,11 @@ import pytest
 
 from whitney import cli, stability
 from whitney.cli import EXIT_INTERNAL, main
+from whitney.deformations import DeformAmbient
 from whitney.errors import ParseError
 from whitney.germdoc import doc_to_text, integral_map_doc, parse_germ_document
 from whitney.integral_maps import owu_normal_form
+from whitney.linalg import Echelon, row_from_fractions
 
 FIVE_SPACE = """\
 # five-space front of the deformed cusp
@@ -130,6 +132,16 @@ def test_check_cap_too_small_is_inconclusive(tmp_path):
     assert main(["check", path, "--mode", "contact", "--order", "10"]) == 3
 
 
+def test_check_negative_order_is_range_error(tmp_path, capsys):
+    path = write(tmp_path, "five.germ", FIVE_SPACE)
+    for mode in ("contact", "legendre", "a2r", "classify"):
+        assert main(["check", path, "--mode", mode, "--order", "-1"]) == 2
+        assert capsys.readouterr().err == "error: jet order must be >= 0, got -1\n"
+    path = write(tmp_path, "neg.germ", FIVE_SPACE + "order = -1\n")
+    assert main(["check", path]) == 2
+    assert capsys.readouterr().err == "error: jet order must be >= 0, got -1\n"
+
+
 def test_check_guard_failure_is_inconclusive(tmp_path, capsys, monkeypatch):
     # a generator outside the membership system means the cap was too small,
     # which is an inconclusive result, not a failed verdict
@@ -217,6 +229,20 @@ def test_front_param_grid(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "q1,r,lam"
     assert len(lines) == 1 + 3 * 3
+
+
+def test_front_rejects_non_finite_ranges(tmp_path, capsys):
+    cusp = write(tmp_path, "cusp.germ", CUSP)
+    for value in ("nan", "inf", "-inf"):
+        assert main(["front", cusp, "--samples", "3", f"--range={value}"]) == 2
+        assert capsys.readouterr().err == "error: --range must be finite\n"
+    F = write(tmp_path, "F.germ",
+              "n = 1\ncap = 10\nvars = t\nparams = lam\n"
+              "u = t^2\nv = 5/2*t^3 + 3/2*lam*t\ncomplete = true\n")
+    for grid in ("lam=nan:1:3", "lam=-1:inf:3", "lam=-inf:1:1"):
+        assert main(["front", F, "--samples", "3", "--param-grid", grid]) == 2
+        assert (capsys.readouterr().err
+                == "error: --param-grid start and stop must be finite\n")
 
 
 def test_front_rejects_large_n(tmp_path):
@@ -343,6 +369,131 @@ UV_NOT_GENERATED_A2R_3 = """\
 }
 """
 
+# lifted cusps p = (k/a)*t^(k-a), q = t^a, r = t^k failing with several
+# independent cokernel witnesses
+CUSP_2_9 = """\
+n = 1
+cap = 10
+vars = t
+p1 = 9/2*t^7
+q1 = t^2
+r = t^9
+"""
+CUSP_2_9_CONTACT_5 = """\
+{
+  "cap": 10,
+  "caveats": [
+    "jet slice is the projection of the membership system solved at the working order; an outer approximation of the genuine jet image, pinned when two consecutive working orders agree"
+  ],
+  "dims": {
+    "combined_span": 10,
+    "deficiency": 3,
+    "deformation_slice": 13,
+    "hamiltonian_span": 7,
+    "pushforward_span": 5
+  },
+  "generator_bounds": {
+    "hamiltonian_degree": 7,
+    "slice_working_order": 6,
+    "source_field_degree": 5
+  },
+  "germ": "user[n=1]",
+  "mode": "contact",
+  "order": 5,
+  "sub_verdicts": {
+    "slice_stabilized": "yes"
+  },
+  "verdict": "fail",
+  "witnesses": [
+    "DeformationField(phi1 = 5*t^3; xi1 = 0; s = 2*t^5)",
+    "DeformationField(phi1 = t^5; xi1 = 0; s = 0)",
+    "DeformationField(phi1 = 3*t; xi1 = 0; s = 2*t^3)"
+  ]
+}
+"""
+CUSP_3_10 = """\
+n = 1
+cap = 12
+vars = t
+p1 = 10/3*t^7
+q1 = t^3
+r = t^10
+"""
+CUSP_3_10_CONTACT_8 = """\
+{
+  "cap": 12,
+  "caveats": [
+    "jet slice is the projection of the membership system solved at the working order; an outer approximation of the genuine jet image, pinned when two consecutive working orders agree"
+  ],
+  "dims": {
+    "combined_span": 13,
+    "deficiency": 6,
+    "deformation_slice": 19,
+    "hamiltonian_span": 9,
+    "pushforward_span": 7
+  },
+  "generator_bounds": {
+    "hamiltonian_degree": 10,
+    "slice_working_order": 9,
+    "source_field_degree": 8
+  },
+  "germ": "user[n=1]",
+  "mode": "contact",
+  "order": 8,
+  "sub_verdicts": {
+    "slice_stabilized": "yes"
+  },
+  "verdict": "fail",
+  "witnesses": [
+    "DeformationField(phi1 = 0; xi1 = 12*t; s = 5*t^8)",
+    "DeformationField(phi1 = t^8; xi1 = 0; s = 0)",
+    "DeformationField(phi1 = 7*t^4; xi1 = 0; s = 3*t^7)",
+    "DeformationField(phi1 = 5*t^2; xi1 = 0; s = 3*t^5)",
+    "DeformationField(phi1 = 10*t^5; xi1 = -9*t; s = 0)",
+    "DeformationField(phi1 = 4*t; xi1 = 0; s = 3*t^4)"
+  ]
+}
+"""
+# contact stable but not Legendre stable (conclusive order 7)
+UV_SPLIT = """\
+n = 2
+cap = 10
+u = 1/6*x2^3 + x1*x2
+v = x2^2
+complete = true
+"""
+UV_SPLIT_LEGENDRE_7 = """\
+{
+  "cap": 10,
+  "caveats": [
+    "jet slice is the projection of the membership system solved at the working order; an outer approximation of the genuine jet image, pinned when two consecutive working orders agree"
+  ],
+  "dims": {
+    "combined_span": 116,
+    "deficiency": 1,
+    "deformation_slice": 117,
+    "hamiltonian_span": 89,
+    "pushforward_span": 64
+  },
+  "generator_bounds": {
+    "hamiltonian_degree": 9,
+    "slice_working_order": 9,
+    "source_field_degree": 7
+  },
+  "germ": "completed[n=2]",
+  "mode": "legendre",
+  "order": 7,
+  "sub_verdicts": {
+    "hamiltonians": "affine in p (lowerable through the fibration)",
+    "slice_stabilized": "yes"
+  },
+  "verdict": "fail",
+  "witnesses": [
+    "DeformationField(phi1 = -4*x2^2; phi2 = 8*x2; xi1 = 0; xi2 = 0; s = 4*x1*x2^2 + x2^4)"
+  ]
+}
+"""
+
 
 def test_reports_byte_identical(tmp_path, capsys):
     pinned = ((FIVE_SPACE, ["--mode", "legendre", "--order", "3"], 0,
@@ -351,9 +502,55 @@ def test_reports_byte_identical(tmp_path, capsys):
               (FIVE_SPACE, ["--mode", "a2r", "--order", "3"], 0,
                FIVE_SPACE_A2R_3),
               (UV_NOT_GENERATED, ["--mode", "a2r", "--order", "3"], 1,
-               UV_NOT_GENERATED_A2R_3))
+               UV_NOT_GENERATED_A2R_3),
+              (CUSP_2_9, ["--mode", "contact", "--order", "5"], 1,
+               CUSP_2_9_CONTACT_5),
+              (CUSP_3_10, ["--mode", "contact", "--order", "8"], 1,
+               CUSP_3_10_CONTACT_8),
+              (UV_SPLIT, ["--mode", "legendre", "--order", "7"], 1,
+               UV_SPLIT_LEGENDRE_7))
     for text, args, code, report in pinned:
         path = write(tmp_path, "germ.germ", text)
         for _ in range(2):
             assert main(["check", path, *args, "--json"]) == code
             assert capsys.readouterr().out == report
+
+
+# deficiency 3 at order 5; its witnesses were once chosen by a reduction that
+# is not a normal form and spanned one dimension modulo the combined span
+UV_DEPENDENT_WITNESSES = """\
+n = 2
+cap = 10
+vars = x1, x2
+u = 1/2*x2^2 + x1^3*x2 - x1^4*x2
+v = x2^2 + x1^2*x2 + x1^3*x2^2 + x1^2*x2^3
+complete = true
+"""
+
+
+def test_witnesses_independent_modulo_combined_span(tmp_path, capsys):
+    path = write(tmp_path, "germ.germ", UV_DEPENDENT_WITNESSES)
+    assert main(["check", path, "--mode", "contact", "--order", "5",
+                 "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    deficiency = report["dims"]["deficiency"]
+    assert deficiency == 3 and len(report["witnesses"]) == 3
+    order = 5
+    f = parse_germ_document(UV_DEPENDENT_WITNESSES).to_integral_map()
+    ambient = DeformAmbient(f, order)
+    labels = ["phi1", "phi2", "xi1", "xi2", "s"]
+    span = Echelon()
+    for row in (stability._tf_rows(f, order, ambient)
+                + stability._wf_rows(f, order, ambient, legendre=False)):
+        span.insert(row)
+    assert span.rank == report["dims"]["combined_span"]
+    for text in report["witnesses"]:
+        assert text.startswith("DeformationField(") and text.endswith(")")
+        entries = {}
+        for part in text[len("DeformationField("):-1].split("; "):
+            label, expr = part.split(" = ")
+            poly = f.source.parse(expr, order)
+            for mono, coeff in poly.terms.items():
+                entries[ambient.column(labels.index(label), mono)] = coeff
+        span.insert(row_from_fractions(entries))
+    assert span.rank == report["dims"]["combined_span"] + deficiency

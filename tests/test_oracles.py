@@ -11,7 +11,8 @@ from whitney.forms import source_chart
 from whitney.integral_maps import complete_from_uv, owu_normal_form
 from whitney.ring import TruncatedPoly, monomials_upto
 from whitney.stability import (_fiber_generation_at, _inclusion_order_at,
-                               compute_conclusive_order, fiber_quotient)
+                               compute_conclusive_order, fiber_quotient,
+                               local_multiplicity)
 
 import oracles
 
@@ -65,12 +66,15 @@ def not_generated_germ():
 def test_fiber_quotient_matches_oracle(germ_corpus, name):
     f = not_generated_germ() if name == "not_generated" else germ_corpus[name]
     oracle = {}
-    for degree in range(2, f.cap + 1):
+    for degree in range(1, f.cap + 1):
         oracle[degree] = oracles.oracle_fiber_quotient(
             bare_components(f), f.n, f.source.dim, degree)
-        algebra_dim, denominator_dim, generated = _fiber_generation_at(f, degree)
-        assert (algebra_dim - denominator_dim, generated) == oracle[degree], \
-            (name, degree)
+    for degree in range(2, f.cap + 1):
+        # one echelon at each degree gives the quotient there and one below
+        for at, (algebra_dim, denominator_dim, generated) in zip(
+                (degree - 1, degree), _fiber_generation_at(f, degree)):
+            assert (algebra_dim - denominator_dim, generated) == oracle[at], \
+                (name, degree, at)
     lib = fiber_quotient(f)
     assert (lib.dim, lib.generated) == oracle[f.cap], name
     # stabilization flag also covers the multiplicity check, so it can only
@@ -79,6 +83,30 @@ def test_fiber_quotient_matches_oracle(germ_corpus, name):
         assert oracle[f.cap - 1] == oracle[f.cap], name
     if name == "not_generated":
         assert (lib.dim, lib.generated) == (3, False)
+
+
+def dense_colength(f, degree):
+    """dim of the source jets of degree <= ``degree`` modulo the truncated
+    ideal of the components, with the oracle's arithmetic and echelon."""
+    mlist = oracles.monos(f.source.dim, degree)
+    mpos = {m: i for i, m in enumerate(mlist)}
+    rows = []
+    for comp in bare_components(f):
+        for m in mlist:
+            prod = oracles.pmul({m: Fraction(1)}, comp, degree)
+            if prod:
+                rows.append({mpos[mu]: c for mu, c in prod.items()})
+    return len(mlist) - oracles.span_dim(rows)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_ORDERS))
+def test_local_multiplicity_matches_dense_colength(germ_corpus, name):
+    f = germ_corpus[name]
+    colength = {d: dense_colength(f, d) for d in range(1, f.cap + 1)}
+    for degree in range(2, f.cap + 1):
+        assert local_multiplicity(f, degree) == (
+            colength[degree], colength[degree - 1] == colength[degree]), \
+            (name, degree)
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_ORDERS))

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from whitney import stability
 from whitney.deformations import DeformAmbient
 from whitney.errors import CapShortfallError, VariableMismatchError
 from whitney.forms import source_chart
@@ -126,6 +127,8 @@ def test_calls_leave_no_cyclic_garbage():
         ("pullback_products", lambda: pullback_products(f, 8)),
         ("_wf_rows", lambda: _wf_rows(f, 4, DeformAmbient(f, 4), False)),
         ("compute_conclusive_order", lambda: compute_conclusive_order(f)),
+        ("fiber_quotient", lambda: fiber_quotient(f)),
+        ("check_contact_stability", lambda: check_contact_stability(f, 3)),
         ("monomials_upto", lambda: monomials_upto(3, 5)),
         ("substitute", lambda: (x1 * x2 + x2 ** 3).substitute([x1 + x2, x1 * x2])),
         ("parse_expression", lambda: parse_expression(
@@ -153,6 +156,32 @@ def test_fiber_quotients(germ_corpus):
     # cusp; the full condition fails through the umbrella gate
     fq = fiber_quotient(germ_corpus["cusp25_lift"])
     assert fq.dim == 2 and fq.generated
+
+
+def test_one_echelon_per_multiplicity_and_fiber_quotient(germ_corpus,
+                                                         monkeypatch):
+    # both degrees of each stabilization flag are read off one echelon
+    built, degrees = [], []
+
+    class CountingEchelon(stability.Echelon):
+        def __init__(self):
+            super().__init__()
+            built.append(self)
+
+    products = stability.pullback_products
+
+    def counting_products(f, degree):
+        degrees.append(degree)
+        return products(f, degree)
+
+    monkeypatch.setattr(stability, "Echelon", CountingEchelon)
+    monkeypatch.setattr(stability, "pullback_products", counting_products)
+    f = germ_corpus["f_2_1"]
+    assert local_multiplicity(f) == (2, True)
+    assert len(built) == 1
+    built.clear()
+    fiber_quotient(f)
+    assert len(built) == 2 and degrees == [f.cap]
 
 
 def test_a2r_verdicts(germ_corpus):
