@@ -9,10 +9,11 @@ output.  Exit codes: 0 pass/ok, 1 fail, 2 malformed input or range error,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from . import germdoc
 from .errors import CapShortfallError, WhitneyError
@@ -143,9 +144,15 @@ def cmd_extend(args) -> int:
     return EXIT_PASS
 
 
-def _parse_param_grid(grid_arg: Optional[str], params) -> List[List[float]]:
-    """Grid argument: 'name=start:stop:count' pairs joined by ';'."""
-    grids = {name: [0.0] for name in params}
+# the largest CSV a front sample may write, counted before any work
+FRONT_MAX_ROWS = 10 ** 6
+
+
+def _parse_param_grid(grid_arg: Optional[str], params) -> List[Tuple[float, float, int]]:
+    """Grid argument: 'name=start:stop:count' pairs joined by ';'.  Returns
+    (start, step, count) per parameter, value i being start + step * i; an
+    unnamed parameter stays at 0."""
+    grids = {name: (0.0, 0.0, 1) for name in params}
     if grid_arg:
         for piece in grid_arg.split(";"):
             piece = piece.strip()
@@ -165,11 +172,9 @@ def _parse_param_grid(grid_arg: Optional[str], params) -> List[List[float]]:
                 raise WhitneyError("--param-grid start and stop must be finite")
             if count < 1:
                 raise WhitneyError("--param-grid count must be >= 1")
-            if count == 1:
-                grids[name] = [start]
-            else:
-                step = (stop - start) / (count - 1)
-                grids[name] = [start + step * i for i in range(count)]
+            # x + -0.0 == x, so a single value is start exactly
+            step = (stop - start) / (count - 1) if count > 1 else -0.0
+            grids[name] = (start, step, count)
     return [grids[name] for name in params]
 
 
@@ -184,31 +189,26 @@ def cmd_front(args) -> int:
         raise WhitneyError("--samples must be >= 2")
     if not math.isfinite(span):
         raise WhitneyError("--range must be finite")
-    axis = [-span + 2 * span * i / (m - 1) for i in range(m)]
     param_grids = _parse_param_grid(args.param_grid, f.params)
-    header = [f"q{i + 1}" for i in range(f.n)] + ["r"] + list(f.params)
-    rows = [",".join(header)]
-
-    def emit(point):
-        values = [f.q_component(i).evaluate_float(point) for i in range(f.n)]
-        values.append(f.r_component.evaluate_float(point))
-        values.extend(point[f.n:])
-        rows.append(",".join(f"{v:.12g}" for v in values))
-
-    def walk_params(prefix, grids):
-        if not grids:
-            if f.n == 1:
-                for x in axis:
-                    emit([x] + prefix)
-            else:
-                for x in axis:
-                    for y in axis:
-                        emit([x, y] + prefix)
-            return
-        for value in grids[0]:
-            walk_params(prefix + [value], grids[1:])
-
-    walk_params([], param_grids)
+    count = m ** f.n * math.prod(grid[2] for grid in param_grids)
+    if count > FRONT_MAX_ROWS:
+        raise WhitneyError(f"front would write {count} rows, more than "
+                           f"{FRONT_MAX_ROWS}; lower --samples or the grid counts")
+    axis = [-span + 2 * span * i / (m - 1) for i in range(m)]
+    grids = [[start + step * i for i in range(k)] for start, step, k in param_grids]
+    polys = [f.q_component(i) for i in range(f.n)] + [f.r_component]
+    rows = [",".join([f"q{i + 1}" for i in range(f.n)] + ["r"] + list(f.params))]
+    # the parameters vary slowest, the last source coordinate fastest
+    for values in itertools.product(*grids, *[axis] * f.n):
+        point = list(values[len(grids):] + values[:len(grids)])
+        try:
+            sample = [poly.evaluate_float(point) for poly in polys]
+        except OverflowError:
+            sample = [math.inf]
+        if not all(map(math.isfinite, sample)):
+            raise WhitneyError(f"front sample at {point} is not finite; "
+                               f"lower --range or the grid")
+        rows.append(",".join(f"{v:.12g}" for v in sample + point[f.n:]))
     _write("\n".join(rows) + "\n", args.out)
     return EXIT_PASS
 
@@ -220,10 +220,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "Legendre map-germs in the standard contact space.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, germ_args=1):
-        if germ_args == 1:
-            p.add_argument("germ", help="germ document file")
-        p.add_argument("--cap", type=int, default=None,
+    def common(p, *germs, cap=None):
+        for name in germs:
+            p.add_argument(name, help="germ document file")
+        p.add_argument("--cap", type=int, default=cap,
                        help="override the truncation cap")
         p.add_argument("--json", action="store_true", help="emit JSON")
         p.add_argument("--out", default=None, help="write output to a file")
@@ -231,45 +231,39 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("normal-form", help="emit an open Whitney umbrella normal form")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--cap", type=int, default=germdoc.DEFAULT_CAP)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out", default=None)
+    common(p, cap=germdoc.DEFAULT_CAP)
     p.set_defaults(func=cmd_normal_form)
 
     p = sub.add_parser("complete", help="complete graph data (u, v) to an integral map")
-    common(p)
+    common(p, "germ")
     p.set_defaults(func=cmd_complete)
 
     p = sub.add_parser("check", help="run a stability check")
-    common(p)
+    common(p, "germ")
     p.add_argument("--mode", choices=["contact", "legendre", "a2r", "classify"],
                    default="contact")
     p.add_argument("--order", type=int, default=None, help="jet order r")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("classify", help="classify as an open Whitney umbrella")
-    common(p)
+    common(p, "germ")
     p.add_argument("--order", type=int, default=None)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("lift", help="lift an isotropic map to an integral map")
-    common(p)
+    common(p, "germ")
     p.set_defaults(func=cmd_lift)
 
     p = sub.add_parser("project", help="project an integral map to its isotropic map")
-    common(p)
+    common(p, "germ")
     p.set_defaults(func=cmd_project)
 
     p = sub.add_parser("extend", help="extend two integral unfoldings over joined parameters")
-    p.add_argument("first")
-    p.add_argument("second")
-    p.add_argument("--cap", type=int, default=None)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out", default=None)
+    common(p, "first", "second")
     p.set_defaults(func=cmd_extend)
 
     p = sub.add_parser("front", help="sample the front projection to CSV")
-    common(p)
+    common(p, "germ")
     p.add_argument("--samples", type=int, default=50)
     p.add_argument("--range", type=float, default=1.0)
     p.add_argument("--param-grid", default=None,
@@ -283,6 +277,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.cap is not None:
+            germdoc.check_cap(args.cap)
         return args.func(args)
     except CapShortfallError as err:
         sys.stderr.write(f"inconclusive: {err}\n")

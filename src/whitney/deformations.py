@@ -13,17 +13,20 @@ checked exactly within cap and cached as a certificate.
 Jet-level spaces: for jets of degree <= r the membership identity is only
 visible in its 1-form coefficients of degree < r, and the one-shot solve at
 the slice order over-counts (a jet can satisfy the visible equations without
-extending).  Every jet slice is therefore computed on one path.  A system
-builder gives the linear system at a working order R, whose first columns
-are the coordinates of degree <= r; ``_escalate`` raises R until the
-projected dimension repeats (the chain is monotone decreasing and bounded
-below by the genuine jet image, so two equal consecutive values pin it);
-``_project_solutions`` then solves the last system built and projects.  The
-builders are the membership system with its two kernel variants
-(``vi_basis``, ``kernel_slice``, ``projection_kernel_slice``) and the
-chain-rule system of ``rf_truncated`` (function jets h with dh inside the
-truncated module spanned by the differentials of f's components).  All of
-them, and the spanning sets of the stability module, write their sparse
+extending).  Every jet slice is therefore computed on one path, as one
+system grown one equation degree at a time.  A builder gives the equations
+that are new at a working order R, over columns that do not depend on R and
+whose first ones are the coordinates of degree <= r.  The builders are the
+membership system (degree R - 1 of the 1-form), its two kernel variants
+(plus degree R of the generating function, or phi = xi = 0 in degree R) and
+the chain-rule system of ``rf_truncated`` (function jets h with dh inside
+the truncated module spanned by the differentials of f's components).  One
+``SolutionSpace`` takes the system at the slice order and ``_escalate``
+extends it order by order until the projected dimension, read off its
+pivots, repeats (the chain is monotone decreasing and bounded below by the
+genuine jet image, so two equal consecutive values pin it);
+``materialize_slice`` projects the solutions of that same space.  All
+builders, and the spanning sets of the stability module, write their sparse
 rows through ``_scatter``.
 """
 
@@ -39,7 +42,7 @@ from .errors import (CapShortfallError, UncertifiedFieldError,
                      VariableMismatchError)
 from .forms import DiffForm, FieldAlongMap
 from .integral_maps import IntegralMap
-from .linalg import Echelon, JetSubspace, Row, SolutionSpace, row_from_fractions
+from .linalg import JetSubspace, Row, SolutionSpace, row_from_fractions
 from .ring import TruncatedPoly, monomials_upto
 
 
@@ -260,151 +263,132 @@ def _scatter(rows: Dict, terms, shift: Tuple[int, ...], bound: int, place,
             row[col] = row.get(col, 0) + scale * coeff
 
 
-def _vi_constraint_rows(f: IntegralMap, order: int, ambient: DeformAmbient):
-    """Sparse rows of the membership system: for v of jet degree <= order,
-    the coefficients of degree < order of
+def _graded(poly: TruncatedPoly, top: int, scale=1):
+    """The terms of ``scale * poly`` of degree <= top, grouped by degree."""
+    out = [[] for _ in range(top + 1)]
+    for mono, coeff in poly.terms.items():
+        if sum(mono) <= top:
+            out[sum(mono)].append((mono, scale * coeff))
+    return out
 
-        d(s) - sum (p_i o f) d(xi_i) - sum phi_i d(q_i o f)
 
-    must vanish.  Equations are indexed by (dx_j, monomial mu)."""
-    n = f.n
-    cap_needed = order + 1
-    if f.cap < cap_needed:
-        raise CapShortfallError(
-            f"jet system at order {order} needs cap >= {cap_needed}, f has {f.cap}")
+def _form_rows(n: int, R: int, unknowns):
+    """Sparse rows, keyed (dx_j, monomial mu), of the coefficients of degree
+    R - 1 of the 1-form sum g d(x^m) + x^m w over the unknowns (col, m, g, w):
+    a function g or a 1-form w = (w_1..w_n), the other None, with terms
+    grouped by ``_graded``.  An unknown of degree a meets only the terms of
+    degree R - a of g and R - 1 - a of w, so each equation is built once."""
     eqs: Dict = {}
-    unit = (((0,) * f.source.dim, 1),)
-    p_terms = [f.p_component(i).terms.items() for i in range(n)]
-    dq = [[f.q_component(i).partial(j).terms.items() for j in range(n)]
-          for i in range(n)]
-    for m in ambient.monomials:
-        # d(s): sum_j m_j x^{m - e_j} dx_j
-        col = ambient.column(2 * n, m)
+    for col, m, g, w in unknowns:
         for j in range(n):
-            if m[j]:
-                low = m[:j] + (m[j] - 1,) + m[j + 1:]
-                _scatter(eqs, unit, low, order - 1, lambda mu: ((j, mu), col), m[j])
-        # -(p_i o f) d(xi_i)
-        for i in range(n):
-            col = ambient.column(n + i, m)
-            for j in range(n):
-                if m[j]:
-                    low = m[:j] + (m[j] - 1,) + m[j + 1:]
-                    _scatter(eqs, p_terms[i], low, order - 1,
-                             lambda mu: ((j, mu), col), -m[j])
-        # -phi_i d(q_i o f)
-        for i in range(n):
-            col = ambient.column(i, m)
-            for j in range(n):
-                _scatter(eqs, dq[i][j], m, order - 1,
-                         lambda mu: ((j, mu), col), -1)
+            if g is not None and m[j]:
+                _scatter(eqs, g[R - sum(m)], m[:j] + (m[j] - 1,) + m[j + 1:],
+                         R - 1, lambda mu: ((j, mu), col), m[j])
+            elif w is not None and sum(m) < R:
+                _scatter(eqs, w[j][R - 1 - sum(m)], m, R - 1,
+                         lambda mu: ((j, mu), col))
     return [row_from_fractions(r) for r in eqs.values()]
 
 
-def _e_vanishing_rows(f: IntegralMap, order: int, ambient: DeformAmbient):
-    """Rows forcing the generating function e(v) = s - sum (p_i o f) xi_i to
-    vanish in all coefficients of degree <= order."""
-    n = f.n
-    eqs: Dict = {}
-    unit = (((0,) * f.source.dim, 1),)
+def _vi_rows(f: IntegralMap, R: int):
+    """Builder of the membership system: for v of jet degree <= R, the
+    coefficients of degree R - 1 of
+
+        d(s) - sum (p_i o f) d(xi_i) - sum phi_i d(q_i o f).
+
+    They involve only unknowns of degree <= R, and reappear unchanged in the
+    system at every higher order."""
+    if f.cap < R + 1:
+        raise CapShortfallError(
+            f"jet system at order {R} needs cap >= {R + 1}, f has {f.cap}")
+    n, ambient = f.n, DeformAmbient(f, R)
+    one = _graded(f.source.const(1, R), R)
+    minus_p = [_graded(f.p_component(i), R, -1) for i in range(n)]
+    minus_dq = [[_graded(f.q_component(i).partial(j), R, -1) for j in range(n)]
+                for i in range(n)]
+    unknowns = []
     for m in ambient.monomials:
-        col = ambient.column(2 * n, m)
-        _scatter(eqs, unit, m, order, lambda mu: (mu, col))
-        for i in range(n):
-            col = ambient.column(n + i, m)
-            _scatter(eqs, f.p_component(i).terms.items(), m, order,
-                     lambda mu: (mu, col), -1)
-    return [row_from_fractions(r) for r in eqs.values()]
+        unknowns.append((ambient.column(2 * n, m), m, one, None))
+        unknowns += [(ambient.column(n + i, m), m, minus_p[i], None) for i in range(n)]
+        unknowns += [(ambient.column(i, m), m, None, minus_dq[i]) for i in range(n)]
+    return _form_rows(n, R, unknowns), ambient.dim
 
 
-# A jet system is (rows, ncols, low_dim): constraint rows over the unknowns at
-# a working order R, whose first low_dim columns are the coordinates of the
-# projection to degree <= r.  Both layouts below order monomials graded
-# ascending, so the degree <= r monomials of order R are, in the same order,
-# the monomials of order r: the projection keeps a prefix of the columns.
+def _generating_kernel_rows(f: IntegralMap, e_order: int, R: int):
+    """Builder of the membership system plus the vanishing of the
+    coefficients of degree <= e_order of e(v) = s - sum (p_i o f) xi_i: at
+    order R <= e_order the degree-R ones are new."""
+    rows, ncols = _vi_rows(f, R)
+    if R <= e_order:
+        # the degree-R coefficients of x^m (1 or -p_i) are those of degree
+        # (R + 1) - 1 of the one-slot 1-form x^m (1 or -p_i) dx_1
+        n, ambient = f.n, DeformAmbient(f, R)
+        factors = [(2 * n, _graded(f.source.const(1, R), R))]
+        factors += [(n + i, _graded(f.p_component(i), R, -1)) for i in range(n)]
+        rows += _form_rows(1, R + 1, [(ambient.column(c, m), m, None, [g])
+                                      for m in ambient.monomials for c, g in factors])
+    return rows, ncols
 
 
-def _slice_system(f: IntegralMap, order: int, working_order: int,
-                  variant: str = "full", e_degree: Optional[int] = None):
-    """The membership system at the working order, with the extra rows of a
-    kernel variant, projected to the slice order."""
-    ambient = DeformAmbient(f, working_order)
-    rows = _vi_constraint_rows(f, working_order, ambient)
-    if variant == "generating_kernel":
-        rows.extend(_e_vanishing_rows(
-            f, working_order if e_degree is None else e_degree, ambient))
-    elif variant == "projection_kernel":
-        for c in range(2 * f.n):
-            for m in ambient.monomials:
-                rows.append({ambient.column(c, m): 1})
-    elif variant != "full":
-        raise ValueError(f"unknown slice variant {variant!r}")
-    return rows, ambient.dim, DeformAmbient(f, order).dim
+def _projection_kernel_rows(f: IntegralMap, R: int):
+    """Builder of the membership system plus phi = xi = 0 in degree R."""
+    rows, ncols = _vi_rows(f, R)
+    ambient = DeformAmbient(f, R)
+    rows += [{ambient.column(c, m): 1} for m in ambient.monomials if sum(m) == R
+             for c in range(2 * f.n)]
+    return rows, ncols
 
 
-def _rf_system(f: IntegralMap, order: int, working_order: int):
-    """Constraint rows for jets h of degree <= working_order with
-    dh = sum a_c d(f_c) below it, projected to degree <= order.
+def _rf_rows(f: IntegralMap, order: int, R: int):
+    """Builder of the chain-rule system of jets h of degree <= R with
+    dh = sum a_c d(f_c) below degree R, a_c of degree <= R - 1: the
+    coefficients of degree R - 1 of dh - sum a_c d(f_c).
 
-    Columns: the h block first, then one coefficient block per component
-    (degree <= working_order - 1)."""
-    R = working_order
-    h_amb = PolyAmbient(f.source.dim, R)
-    a_amb = PolyAmbient(f.source.dim, max(R - 1, 0))
-    ncomps = 2 * f.n + 1
-    eqs: Dict = {}
-    unit = (((0,) * f.source.dim, 1),)
-    for pos, m in enumerate(h_amb.monomials):
-        for j in range(f.n):
-            if m[j]:
-                low = m[:j] + (m[j] - 1,) + m[j + 1:]
-                _scatter(eqs, unit, low, R - 1, lambda mu: ((j, mu), pos), m[j])
-    dcomps = [[f.components[c].partial(j).terms.items() for j in range(f.n)]
-              for c in range(ncomps)]
-    for c in range(ncomps):
-        for apos, am in enumerate(a_amb.monomials):
-            col = h_amb.dim + c * a_amb.dim + apos
-            for j in range(f.n):
-                _scatter(eqs, dcomps[c][j], am, R - 1,
-                         lambda mu: ((j, mu), col), -1)
-    rows = [row_from_fractions(r) for r in eqs.values()]
-    return rows, h_amb.dim + ncomps * a_amb.dim, PolyAmbient(f.source.dim, order).dim
+    Columns: h of degree <= order first, then one group per monomial in
+    graded order, holding an h slot (used above degree order) and one slot
+    per a_c (used below degree R)."""
+    low, ambient = PolyAmbient(f.source.dim, order).dim, PolyAmbient(f.source.dim, R)
+    width = 2 * f.n + 2
+    one = _graded(f.source.const(1, R), R)
+    minus_df = [[_graded(comp.partial(j), R, -1) for j in range(f.n)]
+                for comp in f.components]
+    unknowns = []
+    for pos, m in enumerate(ambient.monomials):
+        base = low + pos * width
+        unknowns.append((pos if pos < low else base, m, one, None))
+        unknowns += [(base + 1 + c, m, None, w) for c, w in enumerate(minus_df)]
+    return _form_rows(f.n, R, unknowns), low + width * ambient.dim
 
 
-def _projected_dim(rows, ncols: int, low_dim: int) -> int:
-    """dim of the projection of the solution space to the first low_dim
-    columns, by rank arithmetic: no basis is ever materialized."""
-    ech = Echelon()
-    for row in rows:
-        ech.insert(row)
-    rank_constraints = ech.rank
-    for col in range(low_dim):
-        ech.insert({col: 1})
-    return ech.rank - rank_constraints
+def _system(new_rows, order: int):
+    """(rows, ncols) of the system at the slice order: the new rows of every
+    working order up to it."""
+    built = [new_rows(R) for R in range(order + 1)]
+    return [row for rows, _ in built for row in rows], built[-1][1]
 
 
-def _escalate(system_at, order: int, max_working_order: int, dim: int):
-    """(R, dim, stabilized, system): raise the working order R from the slice
-    order, whose projected dimension ``dim`` is known, until the projected
-    dimension of ``system_at(R)`` repeats (monotone decreasing, so two equal
-    consecutive values pin it) or R reaches max_working_order.  ``system``
-    is the last system built, None if R never rose."""
-    R, system = order, None
+def _escalate(space: SolutionSpace, new_rows, order: int,
+              max_working_order: int, low_dim: int):
+    """(R, dim, stabilized): grow ``space``, the system at the slice order,
+    by ``new_rows(R)`` for R = order + 1, ... until the projected dimension
+    repeats (monotone decreasing, so two equal consecutive values pin it) or
+    R reaches max_working_order.  ``space`` is left at order R."""
+    R, dim = order, space.projected_dim(low_dim)
     while R < max_working_order:
         R += 1
-        system = system_at(R)
-        nxt = _projected_dim(*system)
+        space.extend(*new_rows(R))
+        nxt = space.projected_dim(low_dim)
         if nxt == dim:
-            return R, dim, True, system
+            return R, dim, True
         dim = nxt
-    return R, dim, False, system
+    return R, dim, False
 
 
-def _project_solutions(rows, ncols: int, low_dim: int) -> JetSubspace:
-    """Reduced basis of the projection of the solution space to the first
-    low_dim columns."""
+def materialize_slice(space: SolutionSpace, low_dim: int) -> JetSubspace:
+    """Reduced basis of the projection of the solutions of ``space`` to the
+    first low_dim columns: in order-r jet coordinates, the projected slice."""
     out = JetSubspace(low_dim)
-    for vec in SolutionSpace(rows, ncols).basis_iter():
+    for vec in space.basis_iter():
         out.insert({c: v for c, v in vec.items() if c < low_dim})
     return out
 
@@ -428,30 +412,25 @@ def deformation_slice(f: IntegralMap, order: int,
     if max_working_order < order:
         raise CapShortfallError(
             f"slice at order {order} needs cap >= {order + 1}, f has {f.cap}")
-    system_at = partial(_slice_system, f, order)
-    R, dim, stabilized, _ = _escalate(system_at, order, max_working_order,
-                                      _projected_dim(*system_at(order)))
+    new_rows = partial(_vi_rows, f)
+    R, dim, stabilized = _escalate(SolutionSpace(*_system(new_rows, order)), new_rows,
+                                   order, max_working_order, DeformAmbient(f, order).dim)
     return SliceData(order, R, stabilized, dim)
 
 
-def materialize_slice(f: IntegralMap, order: int, working_order: int) -> JetSubspace:
-    """Reduced basis, in order-r jet coordinates, of the projected slice."""
-    return _project_solutions(*_slice_system(f, order, working_order))
-
-
-def _stabilized_slice(f: IntegralMap, order: int, builder, **variant) -> JetSubspace:
-    """Escalate the system of ``builder`` from the slice order and project
-    the solutions of the last system built."""
-    system_at = partial(builder, f, order, **variant)
-    system = system_at(order)
-    _, _, _, last = _escalate(system_at, order, f.cap - 1, _projected_dim(*system))
-    return _project_solutions(*(last or system))
+def _stabilized_slice(f: IntegralMap, order: int, new_rows, low_dim: int) -> JetSubspace:
+    """Grow the system of ``new_rows`` from the slice order until its
+    projection stabilizes, and project its solutions."""
+    space = SolutionSpace(*_system(new_rows, order))
+    _escalate(space, new_rows, order, f.cap - 1, low_dim)
+    return materialize_slice(space, low_dim)
 
 
 def vi_basis(f: IntegralMap, order: int) -> JetSubspace:
     """Reduced basis of the jet slice of the deformation space at the given
     order (stabilized projection from the working order)."""
-    return _stabilized_slice(f, order, _slice_system)
+    return _stabilized_slice(f, order, partial(_vi_rows, f),
+                             DeformAmbient(f, order).dim)
 
 
 def kernel_slice(f: IntegralMap, order: int, truncated: bool = False) -> JetSubspace:
@@ -462,14 +441,16 @@ def kernel_slice(f: IntegralMap, order: int, truncated: bool = False) -> JetSubs
     slice); the default kills e through the working order, the jet image
     of the genuine kernel.
     """
-    return _stabilized_slice(f, order, _slice_system, variant="generating_kernel",
-                             e_degree=order if truncated else None)
+    e_order = order if truncated else f.cap
+    return _stabilized_slice(f, order, partial(_generating_kernel_rows, f, e_order),
+                             DeformAmbient(f, order).dim)
 
 
 def projection_kernel_slice(f: IntegralMap, order: int) -> JetSubspace:
     """Jet slice of the members killed by forgetting the Reeb direction
     (phi = xi = 0).  Generated by constants times the Reeb field along f."""
-    return _stabilized_slice(f, order, _slice_system, variant="projection_kernel")
+    return _stabilized_slice(f, order, partial(_projection_kernel_rows, f),
+                             DeformAmbient(f, order).dim)
 
 
 def rf_truncated(f: IntegralMap, order: int) -> JetSubspace:
@@ -479,7 +460,8 @@ def rf_truncated(f: IntegralMap, order: int) -> JetSubspace:
     if f.cap < order + 1:
         raise CapShortfallError(
             f"rf system at order {order} needs cap >= {order + 1}, f has {f.cap}")
-    return _stabilized_slice(f, order, _rf_system)
+    return _stabilized_slice(f, order, partial(_rf_rows, f, order),
+                             PolyAmbient(f.source.dim, order).dim)
 
 
 def generating_function_image(f: IntegralMap, order: int,

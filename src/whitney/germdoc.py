@@ -24,6 +24,13 @@ from .ring import TruncatedPoly
 DEFAULT_CAP = 10
 
 
+def check_cap(cap: int) -> int:
+    """The one rule for a truncation cap, from a document or the CLI."""
+    if cap < 2:
+        raise ParseError("cap must be at least 2")
+    return cap
+
+
 class GermDocument:
     def __init__(self, n: int, cap: int, var_names: Tuple[str, ...],
                  params: Tuple[str, ...], kind: str,
@@ -95,9 +102,7 @@ def parse_germ_document(text: str) -> GermDocument:
         raise ParseError("n must be positive")
     cap = DEFAULT_CAP
     if "cap" in entries:
-        cap = int(entries.pop("cap"))
-        if cap < 2:
-            raise ParseError("cap must be at least 2")
+        cap = check_cap(int(entries.pop("cap")))
     order = None
     if "order" in entries:
         order = int(entries.pop("order"))

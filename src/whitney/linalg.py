@@ -208,21 +208,37 @@ class SolutionSpace:
     """Solution space of a homogeneous system, kept in constraint form.
 
     For large jet systems the explicit basis is expensive to echelonize, but
-    two cheap operations suffice downstream: the dimension and lazy
-    enumeration of a basis for witness extraction.  Membership of candidate
-    solutions is tested on the original constraints with ``annihilates``.
+    cheap operations suffice downstream: the dimension, projected dimensions
+    and lazy enumeration of a basis for witness extraction.  Membership of
+    candidate solutions is tested on the original constraints with
+    ``annihilates``.
     """
 
     def __init__(self, constraint_rows: Iterable[Row], ncols: int):
-        self.ncols = ncols
         self._ech = Echelon()
-        for row in constraint_rows:
-            self._ech.insert(dict(row))
+        self.extend(constraint_rows, ncols)
+
+    def extend(self, rows: Iterable[Row], ncols: int) -> None:
+        """Add equations, over ``ncols`` >= the current number of unknowns;
+        the new unknowns are the trailing columns.  Stored rows are kept."""
+        self.ncols = ncols
+        for row in rows:
+            self._ech.insert(row)
         self._substituted = False
 
     @property
     def dim(self) -> int:
         return self.ncols - self._ech.rank
+
+    def projected_dim(self, low: int) -> int:
+        """dim of the projection of the solutions to the first ``low``
+        columns, ``low - #(pivots < low)``.  Proof: it is ``low - rank C +
+        rank C_high``, C_high being the constraints C on the columns >= low.
+        Pivots are the largest columns, so a row that pivots below ``low``
+        lies inside the low block, and the rows that pivot at or above it
+        keep distinct pivots outside it and stay independent there: rank
+        C_high = #(pivots >= low)."""
+        return low - sum(1 for col in self._ech.pivots if col < low)
 
     def basis_iter(self):
         """Yield one sparse integer basis vector per free column."""

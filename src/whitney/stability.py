@@ -31,9 +31,8 @@ from fractions import Fraction
 from functools import partial
 from typing import Dict, List, Optional, Tuple
 
-from .deformations import (DeformAmbient, PolyAmbient, SliceData, _escalate,
-                           _scatter, _slice_system, _vi_constraint_rows,
-                           materialize_slice)
+from .deformations import (DeformAmbient, PolyAmbient, _escalate, _scatter,
+                           _system, _vi_rows, materialize_slice)
 from .errors import CapShortfallError, VariableMismatchError
 from .forms import source_chart
 from .integral_maps import IntegralMap, complete_from_uv
@@ -359,13 +358,15 @@ def _stability_check(f: IntegralMap, order: int, legendre: bool) -> StabilityRep
         raise CapShortfallError(
             f"stability check at order {order} needs cap >= {order + 1}")
     ambient = DeformAmbient(f, order)
-    constraints = _vi_constraint_rows(f, order, ambient)
+    new_rows = partial(_vi_rows, f)
+    constraints, _ = _system(new_rows, order)
     tf_rows = _tf_rows(f, order, ambient)
     wf_rows = _wf_rows(f, order, ambient, legendre)
     # structural guard: every generator satisfies the membership equations
     if not annihilates(constraints, tf_rows + wf_rows):
         raise CapShortfallError("generator escaped the jet slice; cap too small?")
-    outer_dim = SolutionSpace(constraints, ambient.dim).dim
+    space = SolutionSpace(constraints, ambient.dim)     # grown by _escalate
+    outer_dim = space.dim
     # the tf rows go in first, so the rank at that checkpoint is the
     # pushforward span
     total, wf_span = _SpanEchelon(ambient), _SpanEchelon(ambient)
@@ -379,23 +380,21 @@ def _stability_check(f: IntegralMap, order: int, legendre: bool) -> StabilityRep
     if outer_dim == combined_dim:
         # the one-shot slice already agrees with the span: projection can
         # only sit between them, so the verdict is pinched to pass
-        slice_data = SliceData(order, order, True, outer_dim)
+        R, dim, stabilized = order, outer_dim, True
     else:
-        # the escalation starts from the order-r dimension ranked above
-        R, dim, stabilized, _ = _escalate(partial(_slice_system, f, order),
-                                          order, f.cap - 1, outer_dim)
-        slice_data = SliceData(order, R, stabilized, dim)
-    deficiency = slice_data.dim - combined_dim
+        R, dim, stabilized = _escalate(space, new_rows, order, f.cap - 1,
+                                       ambient.dim)
+    deficiency = dim - combined_dim
     if deficiency == 0:
         verdict = "pass"
-    elif slice_data.stabilized:
+    elif stabilized:
         verdict = "fail"
     else:
         verdict = "inconclusive"
     witnesses = []
     if verdict == "fail":
         # greedy, so the witnesses are independent modulo the combined span
-        materialized = materialize_slice(f, order, slice_data.working_order)
+        materialized = materialize_slice(space, ambient.dim)
         for vec in materialized.basis_rows():
             if total.insert(vec):
                 witnesses.append(ambient.row_to_field(vec))
@@ -409,19 +408,19 @@ def _stability_check(f: IntegralMap, order: int, legendre: bool) -> StabilityRep
         cap=f.cap,
         verdict=verdict,
         dims={
-            "deformation_slice": slice_data.dim,
+            "deformation_slice": dim,
             "pushforward_span": tf_dim,
             "hamiltonian_span": wf_span.rank,
             "combined_span": combined_dim,
             "deficiency": deficiency,
         },
         sub_verdicts={
-            "slice_stabilized": "yes" if slice_data.stabilized else "no",
+            "slice_stabilized": "yes" if stabilized else "no",
         },
         generator_bounds={
             "source_field_degree": order,
             "hamiltonian_degree": order + 2,
-            "slice_working_order": slice_data.working_order,
+            "slice_working_order": R,
         },
         witnesses=[repr(w) for w in witnesses],
         caveats=[OUTER_APPROX_CAVEAT],

@@ -236,13 +236,56 @@ def test_front_rejects_non_finite_ranges(tmp_path, capsys):
     for value in ("nan", "inf", "-inf"):
         assert main(["front", cusp, "--samples", "3", f"--range={value}"]) == 2
         assert capsys.readouterr().err == "error: --range must be finite\n"
+    # finite arguments whose samples are not: the power t^5 overflows at
+    # t = 1e200 and 1e154; lam*t^3 rounds to inf at lam = 1e308, t = 2; the
+    # grid step of lam=-1e308:1e308:2 is inf, so its first value is nan
     F = write(tmp_path, "F.germ",
               "n = 1\ncap = 10\nvars = t\nparams = lam\n"
               "u = t^2\nv = 5/2*t^3 + 3/2*lam*t\ncomplete = true\n")
+    for argv in ([cusp, "--range", "1e200"], [cusp, "--range", "1e154"],
+                 [F, "--range", "2", "--param-grid", "lam=1e308:1e308:1"],
+                 [F, "--param-grid", "lam=-1e308:1e308:2"]):
+        assert main(["front"] + argv + ["--samples", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: front sample at ") and "not finite" in err
     for grid in ("lam=nan:1:3", "lam=-1:inf:3", "lam=-inf:1:1"):
         assert main(["front", F, "--samples", "3", "--param-grid", grid]) == 2
         assert (capsys.readouterr().err
                 == "error: --param-grid start and stop must be finite\n")
+
+
+def test_front_refuses_oversized_output(tmp_path, capsys):
+    # the row count is computed from the arguments and refused before any
+    # sample or grid list is built; the oversized output is never made
+    F = write(tmp_path, "F.germ",
+              "n = 1\ncap = 10\nvars = t\nparams = lam\n"
+              "u = t^2\nv = 5/2*t^3 + 3/2*lam*t\ncomplete = true\n")
+    cases = ((["--samples", "3", "--param-grid", "lam=0:1:100000000000"],
+              3 * 100000000000),
+             (["--samples", str(cli.FRONT_MAX_ROWS + 1)], cli.FRONT_MAX_ROWS + 1),
+             (["--samples", "1001", "--param-grid", "lam=0:1:1000"], 1001000))
+    for extra, count in cases:
+        assert main(["front", F] + extra) == 2
+        assert capsys.readouterr().err == (
+            f"error: front would write {count} rows, more than "
+            f"{cli.FRONT_MAX_ROWS}; lower --samples or the grid counts\n")
+
+
+def test_cap_below_two_is_malformed(tmp_path, capsys):
+    five = write(tmp_path, "five.germ", FIVE_SPACE)
+    uv = write(tmp_path, "uv.germ", UV21)
+    runs = (["check", five, "--order", "2"], ["check", five, "--mode", "a2r"],
+            ["classify", five], ["project", five], ["lift", five],
+            ["complete", uv], ["extend", five, five], ["front", five],
+            ["normal-form", "--n", "2", "--k", "1"])
+    for argv in runs:
+        for cap in ("1", "0", "-3"):
+            assert main(argv + ["--cap", cap]) == 2, (argv, cap)
+            assert capsys.readouterr().err == "error: cap must be at least 2\n"
+    # the document rule is the same one
+    with pytest.raises(ParseError, match="cap must be at least 2"):
+        parse_germ_document(FIVE_SPACE.replace("cap = 10", "cap = 1"))
+    assert main(["normal-form", "--n", "2", "--k", "1", "--cap", "2"]) == 0
 
 
 def test_front_rejects_large_n(tmp_path):

@@ -3,12 +3,15 @@ jet slices and the function-side solve."""
 
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from whitney.contact import contact_hamiltonian, scaled_contact_hamiltonian, scaled_reeb
 from whitney.deformations import (DeformAmbient, DeformationField,
-                                  _vi_constraint_rows, generating_function_image,
+                                  _generating_kernel_rows, _projection_kernel_rows,
+                                  _rf_rows, _vi_rows, deformation_slice,
+                                  generating_function_image,
                                   interior_with_alpha, kernel_slice, module_mult,
                                   projection_kernel_slice, reeb_along, rf_truncated,
                                   tf_apply, vi_basis, wf_apply)
@@ -16,7 +19,11 @@ from whitney.errors import UncertifiedFieldError
 
 from whitney.linalg import JetSubspace
 from whitney.ring import TruncatedPoly, monomials_upto
-from whitney.stability import _tf_rows, pullback_algebra_span
+from whitney import deformations, linalg, stability
+from whitney.stability import (_tf_rows, check_contact_stability,
+                               check_legendre_stability, pullback_algebra_span)
+
+import oracles
 
 
 rng = random.Random(7734)
@@ -210,17 +217,164 @@ def test_low_order_columns_are_a_prefix(f21):
                    for m in low.monomials for c in range(low.ncomps))
 
 
+def _deform_labels(f, R):
+    amb = DeformAmbient(f, R)
+    return lambda col: (col % amb.ncomps, amb.monomials[col // amb.ncomps])
+
+
+def _rf_labels(f, order, R):
+    monos = monomials_upto(f.source.dim, R)
+    low, width = len(monomials_upto(f.source.dim, order)), 2 * f.n + 2
+
+    def label(col):
+        if col < low:
+            return ("h", monos[col])
+        k, slot = divmod(col - low, width)
+        return ("h", monos[k]) if slot == 0 else ("a", slot - 1, monos[k])
+    return label
+
+
+def _dense_vi(f, R):
+    comps = [dict(c.terms) for c in f.components]
+    rows, _, mlist, ncomps = oracles._vi_matrix(comps, f.n, f.source.dim, R)
+    return [{(col % ncomps, mlist[col // ncomps]): v for col, v in row.items()}
+            for row in rows]
+
+
+def _dense_e_rows(f, R, e_order):
+    """coefficients of degree <= min(R, e_order) of e(v) = s - sum p_i xi_i"""
+    n, nv = f.n, f.source.dim
+    rows = {mu: {(2 * n, mu): Fraction(1)}
+            for mu in oracles.monos(nv, min(R, e_order))}
+    for i in range(n):
+        for m in oracles.monos(nv, R):
+            for t, c in f.p_component(i).terms.items():
+                mu = tuple(a + b for a, b in zip(m, t))
+                if mu in rows:
+                    rows[mu][(n + i, m)] = -c
+    return list(rows.values())
+
+
+def _dense_rf(f, R):
+    """chain-rule equations below degree R: dh - sum a_c d(f_c), h of degree
+    <= R, a_c of degree <= R - 1"""
+    nv, eqs = f.source.dim, {}
+
+    def put(j, mu, label, value):
+        if sum(mu) <= R - 1:
+            row = eqs.setdefault((j, mu), {})
+            row[label] = row.get(label, 0) + value
+    for m in oracles.monos(nv, R):
+        for j in range(f.n):
+            if m[j]:
+                put(j, m[:j] + (m[j] - 1,) + m[j + 1:], ("h", m), Fraction(m[j]))
+    for c, comp in enumerate(f.components):
+        for j in range(f.n):
+            for t, v in oracles.pdiff(dict(comp.terms), j).items():
+                for m in oracles.monos(nv, R - 1):
+                    put(j, tuple(a + b for a, b in zip(m, t)), ("a", c, m), -v)
+    return list(eqs.values())
+
+
+def _normalized(rows):
+    out = set()
+    for row in rows:
+        row = {k: Fraction(v) for k, v in row.items() if v}
+        if row:
+            lead = row[min(row)]
+            out.add(frozenset((k, v / lead) for k, v in row.items()))
+    return out
+
+
 def test_order_R_rows_reappear_at_order_R_plus_1(germ_corpus):
-    # the new degree-(R+1) columns only touch the new degree-R equations, so
-    # the membership system at order R+1 extends the one at order R: the
-    # precondition for growing one echelon across an escalation
+    # every builder gives only the rows new at order R, over columns that do
+    # not depend on R; the rows up to R must then be the whole order-R
+    # system, written here densely from its defining formulas.  This is the
+    # precondition for growing one echelon across an escalation.
     for name, f in germ_corpus.items():
-        previous = set()
-        for R in range(f.cap - 1):
-            rows = {frozenset(row.items())
-                    for row in _vi_constraint_rows(f, R, DeformAmbient(f, R))}
-            assert previous <= rows, (name, R - 1)
-            previous = rows
+        order = 2
+        top = 5 if f.n <= 2 else 3
+        builders = (
+            (partial(_vi_rows, f), _dense_vi, _deform_labels),
+            (partial(_generating_kernel_rows, f, order),
+             lambda f, R: _dense_vi(f, R) + _dense_e_rows(f, R, order), _deform_labels),
+            (partial(_generating_kernel_rows, f, f.cap),
+             lambda f, R: _dense_vi(f, R) + _dense_e_rows(f, R, R), _deform_labels),
+            (partial(_projection_kernel_rows, f),
+             lambda f, R: _dense_vi(f, R) + [
+                 {(c, m): 1} for c in range(2 * f.n)
+                 for m in oracles.monos(f.source.dim, R)], _deform_labels),
+            (partial(_rf_rows, f, order), _dense_rf,
+             lambda f, R: _rf_labels(f, order, R)),
+        )
+        for k, (new_rows, dense, labels) in enumerate(builders):
+            system, ncols = [], 0
+            for R in range(top + 1):
+                rows, width = new_rows(R)
+                assert width >= ncols and all(max(row) < width for row in rows if row)
+                system += rows
+                ncols = width
+                label = labels(f, R)
+                got = _normalized({label(c): v for c, v in row.items()}
+                                  for row in system)
+                assert got == _normalized(dense(f, R)), (name, k, R)
+
+
+def _count_builds(monkeypatch):
+    """Count the constraint echelons built (every Echelon that is neither a
+    JetSubspace nor a stability span) and the working orders whose equations
+    are built."""
+    seen = {"echelons": 0, "spans": 0, "orders": []}
+
+    def counting(cls, key):
+        init = cls.__init__
+
+        def wrapped(self, *args, **kwargs):
+            seen[key] += 1
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", wrapped)
+    counting(linalg.Echelon, "echelons")
+    counting(linalg.JetSubspace, "spans")
+    counting(stability._SpanEchelon, "spans")
+    for name in ("_vi_rows", "_rf_rows"):
+        build = getattr(deformations, name)
+
+        def wrapped(*args, build=build):
+            seen["orders"].append(args[-1])      # the working order R
+            return build(*args)
+        for module in (deformations, stability):
+            if getattr(module, name, None) is build:
+                monkeypatch.setattr(module, name, wrapped)
+    return seen
+
+
+def test_one_constraint_echelon_and_one_build_per_equation_degree(
+        monkeypatch, f21, cusp25):
+    seen = _count_builds(monkeypatch)
+
+    def run(call):
+        seen.update(echelons=0, spans=0, orders=[])
+        result = call()
+        # one echelon takes every equation degree, each built once
+        assert seen["echelons"] - seen["spans"] == 1
+        top = max(seen["orders"])
+        assert seen["orders"] == list(range(top + 1))
+        return result, top
+
+    for f, r in ((f21, 3), (cusp25, 4)):
+        data, top = run(lambda: deformation_slice(f, r))
+        assert top == data.working_order > r
+        for call in (lambda: vi_basis(f, r), lambda: kernel_slice(f, r),
+                     lambda: projection_kernel_slice(f, r),
+                     lambda: rf_truncated(f, r)):
+            _, top = run(call)
+            assert top > r
+        for check in (check_contact_stability, check_legendre_stability):
+            report, top = run(lambda: check(f, r))
+            assert top == report.generator_bounds["slice_working_order"]
+    # the fail path projects the escalated space: the cusp fails at order 4
+    report, top = run(lambda: check_contact_stability(cusp25, 4))
+    assert report.verdict == "fail" and top > 4
 
 
 def test_flat_line_slice_dims(flat_line):

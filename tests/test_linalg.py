@@ -1,8 +1,11 @@
-"""Sparse exact linear algebra: the membership guard."""
+"""Sparse exact linear algebra: the membership guard and the growing
+solution space."""
 
 import random
 
-from whitney.linalg import annihilates
+from whitney.linalg import SolutionSpace, annihilates
+
+import oracles
 
 
 def _dense_annihilates(constraints, rows, ncols):
@@ -43,3 +46,35 @@ def test_annihilates_catches_one_broken_product():
     assert annihilates(constraints, good)
     broken = {0: 1, 1: 2, 2: 1, 3: 2}
     assert not annihilates(constraints, good[:2] + [broken] + good[2:])
+
+
+def _check_space(space, rows, ncols):
+    rank = oracles.span_dim(rows)
+    assert space.dim == ncols - rank
+    for low in range(ncols + 1):
+        # dim of the projection to the first low columns, densely: the rank
+        # of [C; I_low] less the rank of C
+        units = [{c: 1} for c in range(low)]
+        assert space.projected_dim(low) == oracles.span_dim(rows + units) - rank
+    basis = list(space.basis_iter())
+    assert len(basis) == space.dim and oracles.span_dim(basis) == space.dim
+    assert annihilates(rows, basis)
+
+
+def test_extend_and_projected_dim_match_dense_ranks():
+    rng = random.Random(20261019)
+    for _ in range(100):
+        ncols = rng.randint(0, 5)
+        rows = [_random_row(rng, list(range(ncols)))
+                for _ in range(rng.randint(0, 4))]
+        space = SolutionSpace(rows, ncols)
+        _check_space(space, rows, ncols)
+        for _ in range(3):
+            # new equations over old and new columns, or no new columns
+            ncols += rng.randint(0, 3)
+            new = [_random_row(rng, list(range(ncols)))
+                   for _ in range(rng.randint(0, 4))]
+            space.extend(new, ncols)
+            rows += new
+            _check_space(space, rows, ncols)
+
