@@ -32,8 +32,11 @@ EXIT_INTERNAL = 4
 
 def _write(text: str, out: Optional[str]):
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as err:
+            raise WhitneyError(f"cannot write {out}: {err}") from None
     else:
         sys.stdout.write(text)
 
@@ -49,6 +52,9 @@ def _load_map(path: str, cap: Optional[int]) -> IntegralMap:
 
 
 def cmd_normal_form(args) -> int:
+    if args.n < 1 or args.k < 0 or 2 * args.k > args.n:
+        raise WhitneyError(f"normal-form needs n >= 1 and 0 <= k <= n/2, got "
+                           f"n = {args.n}, k = {args.k}")
     f = owu_normal_form(args.n, args.k, cap=args.cap)
     _emit_doc(germdoc.integral_map_doc(f), args.json, args.out)
     return EXIT_PASS
@@ -167,7 +173,11 @@ def _parse_param_grid(grid_arg: Optional[str], params) -> List[Tuple[float, floa
             parts = rng.split(":")
             if len(parts) != 3:
                 raise WhitneyError("--param-grid wants name=start:stop:count")
-            start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+            try:
+                start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+            except ValueError:
+                raise WhitneyError(f"bad --param-grid entry {piece!r}: start and "
+                                   f"stop must be numbers, count an integer") from None
             if not (math.isfinite(start) and math.isfinite(stop)):
                 raise WhitneyError("--param-grid start and stop must be finite")
             if count < 1:
@@ -284,9 +294,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         sys.stderr.write(f"inconclusive: {err}\n")
         return EXIT_INCONCLUSIVE
     except WhitneyError as err:
-        sys.stderr.write(f"error: {err}\n")
-        return EXIT_MALFORMED
-    except ValueError as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_MALFORMED
     except Exception as err:

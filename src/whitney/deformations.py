@@ -28,6 +28,11 @@ genuine jet image, so two equal consecutive values pin it);
 ``materialize_slice`` projects the solutions of that same space.  All
 builders, and the spanning sets of the stability module, write their sparse
 rows through ``_scatter``.
+
+Rows are built in Python ints, though the ring keeps Fractions: a builder
+takes one common denominator L of the coefficients its system uses, the int
+terms of L times each polynomial (``_graded``, ``_int_terms``), and divides
+each finished row by its content (``_primitive``), which gives the same rows.
 """
 
 from __future__ import annotations
@@ -35,6 +40,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from math import lcm
+from operator import add
 from typing import Dict, Optional, Sequence, Tuple
 
 from .contact import contact_hamiltonian
@@ -42,7 +49,8 @@ from .errors import (CapShortfallError, UncertifiedFieldError,
                      VariableMismatchError)
 from .forms import DiffForm, FieldAlongMap
 from .integral_maps import IntegralMap
-from .linalg import JetSubspace, Row, SolutionSpace, row_from_fractions
+from .linalg import (JetSubspace, Row, SolutionSpace, _reduce_content,
+                     row_from_fractions)
 from .ring import TruncatedPoly, monomials_upto
 
 
@@ -251,24 +259,47 @@ def _scatter(rows: Dict, terms, shift: Tuple[int, ...], bound: int, place,
     """Add ``scale * x**shift * terms`` into the sparse matrix ``rows`` (row
     key -> {column: value}), dropping monomials of degree > bound.
 
-    ``terms`` holds (monomial, coefficient) pairs and ``place(mu)`` names the
+    ``terms`` holds (monomial, int) pairs and ``place(mu)`` names the
     (row key, column) that the shifted monomial mu lands in: an equation
     key and a fixed unknown for a constraint system, or a fixed generator
-    and a coordinate column for a spanning set."""
+    and a coordinate column for a spanning set.  Terms are dropped on their
+    own degree, against ``bound - |shift|``, before mu is built."""
+    room = bound - sum(shift)
     for mono, coeff in terms:
-        mu = tuple(a + b for a, b in zip(mono, shift))
-        if sum(mu) <= bound:
-            key, col = place(mu)
+        if sum(mono) <= room:
+            key, col = place(tuple(map(add, mono, shift)))
             row = rows.setdefault(key, {})
             row[col] = row.get(col, 0) + scale * coeff
 
 
-def _graded(poly: TruncatedPoly, top: int, scale=1):
-    """The terms of ``scale * poly`` of degree <= top, grouped by degree."""
+def _denominator(polys) -> int:
+    """The least common denominator of the coefficients of ``polys``."""
+    return lcm(*(c.denominator for poly in polys for c in poly.terms.values()))
+
+
+def _int_terms(poly: TruncatedPoly, scale: int):
+    """(monomial, int) pairs of ``scale * poly``, for a ``scale`` that every
+    coefficient's denominator divides."""
+    return [(mono, scale // c.denominator * c.numerator)
+            for mono, c in poly.terms.items()]
+
+
+def _primitive(row: Dict[int, int]) -> Row:
+    """An int row with its zero entries dropped and its content divided out:
+    what ``row_from_fractions`` makes of any positive multiple of it."""
+    return _reduce_content({c: v for c, v in row.items() if v})
+
+
+def _graded(poly: TruncatedPoly, top: int, scale: int):
+    """The int terms of ``scale * poly`` of degree <= top, grouped by degree.
+    ``scale`` is +-L for one common denominator L of the system (its
+    constant unknown gets L), so each row is L times its rational row, and
+    the same after content reduction: a positive multiple of a row and the
+    row itself have one primitive integer vector, with the same sign."""
     out = [[] for _ in range(top + 1)]
-    for mono, coeff in poly.terms.items():
+    for mono, coeff in _int_terms(poly, scale):
         if sum(mono) <= top:
-            out[sum(mono)].append((mono, scale * coeff))
+            out[sum(mono)].append((mono, coeff))
     return out
 
 
@@ -287,7 +318,7 @@ def _form_rows(n: int, R: int, unknowns):
             elif w is not None and sum(m) < R:
                 _scatter(eqs, w[j][R - 1 - sum(m)], m, R - 1,
                          lambda mu: ((j, mu), col))
-    return [row_from_fractions(r) for r in eqs.values()]
+    return [_primitive(r) for r in eqs.values()]
 
 
 def _vi_rows(f: IntegralMap, R: int):
@@ -302,10 +333,12 @@ def _vi_rows(f: IntegralMap, R: int):
         raise CapShortfallError(
             f"jet system at order {R} needs cap >= {R + 1}, f has {f.cap}")
     n, ambient = f.n, DeformAmbient(f, R)
-    one = _graded(f.source.const(1, R), R)
-    minus_p = [_graded(f.p_component(i), R, -1) for i in range(n)]
-    minus_dq = [[_graded(f.q_component(i).partial(j), R, -1) for j in range(n)]
-                for i in range(n)]
+    p = [f.p_component(i) for i in range(n)]
+    dq = [[f.q_component(i).partial(j) for j in range(n)] for i in range(n)]
+    L = _denominator(p + [g for row in dq for g in row])
+    one = _graded(f.source.const(1, R), R, L)
+    minus_p = [_graded(g, R, -L) for g in p]
+    minus_dq = [[_graded(g, R, -L) for g in row] for row in dq]
     unknowns = []
     for m in ambient.monomials:
         unknowns.append((ambient.column(2 * n, m), m, one, None))
@@ -323,8 +356,10 @@ def _generating_kernel_rows(f: IntegralMap, e_order: int, R: int):
         # the degree-R coefficients of x^m (1 or -p_i) are those of degree
         # (R + 1) - 1 of the one-slot 1-form x^m (1 or -p_i) dx_1
         n, ambient = f.n, DeformAmbient(f, R)
-        factors = [(2 * n, _graded(f.source.const(1, R), R))]
-        factors += [(n + i, _graded(f.p_component(i), R, -1)) for i in range(n)]
+        p = [f.p_component(i) for i in range(n)]
+        L = _denominator(p)
+        factors = [(2 * n, _graded(f.source.const(1, R), R, L))]
+        factors += [(n + i, _graded(g, R, -L)) for i, g in enumerate(p)]
         rows += _form_rows(1, R + 1, [(ambient.column(c, m), m, None, [g])
                                       for m in ambient.monomials for c, g in factors])
     return rows, ncols
@@ -349,9 +384,10 @@ def _rf_rows(f: IntegralMap, order: int, R: int):
     per a_c (used below degree R)."""
     low, ambient = PolyAmbient(f.source.dim, order).dim, PolyAmbient(f.source.dim, R)
     width = 2 * f.n + 2
-    one = _graded(f.source.const(1, R), R)
-    minus_df = [[_graded(comp.partial(j), R, -1) for j in range(f.n)]
-                for comp in f.components]
+    df = [[comp.partial(j) for j in range(f.n)] for comp in f.components]
+    L = _denominator(g for row in df for g in row)
+    one = _graded(f.source.const(1, R), R, L)
+    minus_df = [[_graded(g, R, -L) for g in row] for row in df]
     unknowns = []
     for pos, m in enumerate(ambient.monomials):
         base = low + pos * width

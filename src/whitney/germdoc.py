@@ -50,7 +50,8 @@ class GermDocument:
     def _parse(self, key: str, cap: int) -> TruncatedPoly:
         try:
             return self.chart.parse(self.expressions[key], cap)
-        except ParseError as err:
+        except (ParseError, ValueError) as err:
+            # int() refuses non-decimal digits and over-long literals
             raise ParseError(f"in component {key}: {err}") from err
 
     def to_integral_map(self, cap: Optional[int] = None) -> IntegralMap:
@@ -79,6 +80,15 @@ class GermDocument:
         return p, q
 
 
+def _integer(entries: Dict[str, str], key: str) -> int:
+    """Pop the integer value of ``key`` from the document entries."""
+    value = entries.pop(key)
+    try:
+        return int(value)
+    except ValueError:
+        raise ParseError(f"{key} must be an integer, got {value!r}") from None
+
+
 def parse_germ_document(text: str) -> GermDocument:
     entries: Dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -94,18 +104,15 @@ def parse_germ_document(text: str) -> GermDocument:
         entries[key] = value.strip()
     if "n" not in entries:
         raise ParseError("missing required key 'n'")
-    try:
-        n = int(entries.pop("n"))
-    except ValueError as err:
-        raise ParseError(f"n must be an integer: {err}") from None
+    n = _integer(entries, "n")
     if n < 1:
         raise ParseError("n must be positive")
     cap = DEFAULT_CAP
     if "cap" in entries:
-        cap = check_cap(int(entries.pop("cap")))
+        cap = check_cap(_integer(entries, "cap"))
     order = None
     if "order" in entries:
-        order = int(entries.pop("order"))
+        order = _integer(entries, "order")
     var_names = tuple(f"x{i + 1}" for i in range(n))
     if "vars" in entries:
         var_names = tuple(v.strip() for v in entries.pop("vars").split(",") if v.strip())
@@ -143,8 +150,12 @@ def parse_germ_document(text: str) -> GermDocument:
 
 
 def load_germ(path: str) -> GermDocument:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_germ_document(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as err:
+        raise ParseError(f"cannot read germ document {path}: {err}") from None
+    return parse_germ_document(text)
 
 
 # -- serialization ------------------------------------------------------------------

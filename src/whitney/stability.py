@@ -31,14 +31,15 @@ from fractions import Fraction
 from functools import partial
 from typing import Dict, List, Optional, Tuple
 
-from .deformations import (DeformAmbient, PolyAmbient, _escalate, _scatter,
-                           _system, _vi_rows, materialize_slice)
+from .deformations import (DeformAmbient, PolyAmbient, _denominator, _escalate,
+                           _int_terms, _primitive, _scatter, _system, _vi_rows,
+                           materialize_slice)
 from .errors import CapShortfallError, VariableMismatchError
 from .forms import source_chart
 from .integral_maps import IntegralMap, complete_from_uv
 from .linalg import (Echelon, JetSubspace, Row, SolutionSpace, annihilates,
                      row_from_fractions)
-from .ring import INF, TruncatedPoly, monomials_upto
+from .ring import INF, TruncatedPoly
 
 OUTER_APPROX_CAVEAT = (
     "jet slice is the projection of the membership system solved at the "
@@ -185,14 +186,16 @@ def local_multiplicity(f: IntegralMap, degree: Optional[int] = None):
     if degree < 2:
         raise CapShortfallError("multiplicity needs degree >= 2")
     amb = PolyAmbient(f.source.dim, degree)
+    L = _denominator(f.components)
     rows: Dict = {}
     for c, comp in enumerate(f.components):
+        terms = _int_terms(comp, L)
         for m in amb.monomials:
-            _scatter(rows, comp.terms.items(), m, degree,
+            _scatter(rows, terms, m, degree,
                      lambda mu: ((c, m), amb.mono_pos[mu]))
     ech = _SpanEchelon(amb)
     for row in rows.values():
-        ech.insert(row_from_fractions(row))
+        ech.insert(_primitive(row))
     high = amb.dim - ech.rank
     low = (math.comb(f.source.dim + degree - 1, f.source.dim)
            - sum(d < degree for d in ech.pivot_degrees()))
@@ -203,16 +206,18 @@ def local_multiplicity(f: IntegralMap, degree: Optional[int] = None):
 
 
 def _tf_rows(f: IntegralMap, order: int, ambient: DeformAmbient):
-    """Rows of pushforwards of monomial source fields, truncated."""
+    """Rows of pushforwards of monomial source fields, truncated, from the
+    int terms of L times the partials (L a common denominator)."""
     rows: Dict = {}
-    dcomps = [[f.components[c].partial(j).terms.items() for j in range(f.n)]
-              for c in range(2 * f.n + 1)]
+    partials = [[comp.partial(j) for j in range(f.n)] for comp in f.components]
+    L = _denominator(d for row in partials for d in row)
+    dcomps = [[_int_terms(d, L) for d in row] for row in partials]
     for j in range(f.n):
-        for m in monomials_upto(f.source.dim, order):
+        for m in ambient.monomials:
             for c in range(2 * f.n + 1):
                 _scatter(rows, dcomps[c][j], m, order,
                          lambda mu: ((j, m), ambient.column(c, mu)))
-    return [row_from_fractions(r) for r in rows.values()]
+    return [_primitive(r) for r in rows.values()]
 
 
 def _hamiltonian_exponents(f: IntegralMap, order: int, legendre: bool):
@@ -310,44 +315,52 @@ def _wf_rows(f: IntegralMap, order: int, ambient: DeformAmbient, legendre: bool)
     ncomps = 2 * n + 1
     r_slot = 2 * n
     M = _composed_monomials(f, order)
+    zero, ints = f.source.zero(order), {}
     rows = []
-    amb_col = ambient.column
 
-    def add_poly(entries, comp_slot, poly, factor):
-        if poly is None or factor == 0:
-            return
-        for mono, coeff in poly.terms.items():
-            col = amb_col(comp_slot, mono)
-            entries[col] = entries.get(col, Fraction(0)) + coeff * factor
+    def int_part(e):
+        # M(e) as (d, [(slot-0 column, int coefficient of d * M(e))])
+        if e not in ints:
+            poly = M(e) or zero
+            d = _denominator([poly])
+            ints[e] = (d, [(ambient.mono_pos[m] * ncomps, v)
+                           for m, v in _int_terms(poly, d)])
+        return ints[e]
 
     for e in _hamiltonian_exponents(f, order, legendre):
-        entries: Dict[int, Fraction] = {}
         e_r = e[r_slot]
         p_total = sum(e[:n])
+        parts = []              # (slot, int factor, int part of M)
         # phi_i slots
         for i in range(n):
             if e[n + i]:
-                reduced = list(e)
-                reduced[n + i] -= 1
-                add_poly(entries, i, M(tuple(reduced)), Fraction(e[n + i]))
+                reduced = e[:n + i] + (e[n + i] - 1,) + e[n + i + 1:]
+                parts.append((i, e[n + i], int_part(reduced)))
             if e_r:
                 shifted = list(e)
                 shifted[r_slot] -= 1
                 shifted[i] += 1
-                add_poly(entries, i, M(tuple(shifted)), Fraction(e_r))
+                parts.append((i, e_r, int_part(tuple(shifted))))
         # xi_i slots
         for i in range(n):
             if e[i]:
-                reduced = list(e)
-                reduced[i] -= 1
-                add_poly(entries, n + i, M(tuple(reduced)), Fraction(-e[i]))
+                reduced = e[:i] + (e[i] - 1,) + e[i + 1:]
+                parts.append((n + i, -e[i], int_part(reduced)))
         # r slot
         if p_total != 1:
-            add_poly(entries, r_slot, M(e), Fraction(1 - p_total))
+            parts.append((r_slot, 1 - p_total, int_part(e)))
+        # one scale per row: the lcm of its parts' denominators
+        L = math.lcm(*(d for _, _, (d, _) in parts))
+        entries: Dict[int, int] = {}
+        for slot, k, (d, terms) in parts:
+            k *= L // d
+            for base, v in terms:
+                col = base + slot
+                entries[col] = entries.get(col, 0) + k * v
         if entries:
-            rows.append(row_from_fractions(entries))
+            rows.append(_primitive(entries))
     # the constant Hamiltonian H = 1 contributes the Reeb field along f
-    rows.append({amb_col(r_slot, (0,) * f.source.dim): 1})
+    rows.append({ambient.column(r_slot, (0,) * f.source.dim): 1})
     return rows
 
 

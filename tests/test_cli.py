@@ -173,6 +173,54 @@ def test_unexpected_exception_is_internal_error(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
 
 
+def test_internal_value_error_is_internal_error(tmp_path, capsys, monkeypatch):
+    # a ValueError is a bug unless the code raised it as a user error
+    def broken(constraints, rows):
+        raise ValueError("column 7 outside ambient of dim 5")
+
+    monkeypatch.setattr(stability, "annihilates", broken)
+    path = write(tmp_path, "five.germ", FIVE_SPACE)
+    assert main(["check", path, "--mode", "contact", "--order", "3"]) == EXIT_INTERNAL
+    assert (capsys.readouterr().err
+            == "internal error: ValueError: column 7 outside ambient of dim 5\n")
+
+
+def test_user_value_errors_are_malformed(tmp_path, capsys):
+    F = write(tmp_path, "F.germ",
+              "n = 1\ncap = 10\nvars = t\nparams = lam\n"
+              "u = t^2\nv = 5/2*t^3 + 3/2*lam*t\ncomplete = true\n")
+    cases = (
+        (["check", write(tmp_path, "cap.germ", CUSP.replace("cap = 10", "cap = abc"))],
+         "error: cap must be an integer, got 'abc'\n"),
+        (["check", write(tmp_path, "order.germ", CUSP + "order = x\n")],
+         "error: order must be an integer, got 'x'\n"),
+        (["normal-form", "--n", "1", "--k", "1"],
+         "error: normal-form needs n >= 1 and 0 <= k <= n/2, got n = 1, k = 1\n"),
+        (["front", F, "--param-grid", "lam=a:1:3"],
+         "error: bad --param-grid entry 'lam=a:1:3': start and stop must be "
+         "numbers, count an integer\n"),
+    )
+    for argv, message in cases:
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err == message
+
+
+def test_unreadable_input_and_unwritable_output_are_malformed(tmp_path, capsys):
+    binary = tmp_path / "binary.germ"
+    binary.write_bytes(b"n = 1\n\xff\xfe\n")
+    paths = (str(tmp_path / "missing.germ"), str(binary),
+             # int() refuses superscript digits and over-long literals
+             write(tmp_path, "sup.germ", CUSP.replace("t^2", "t^\u00b2")),
+             write(tmp_path, "long.germ", CUSP.replace("t^5", "1" * 5000 + "*t^5")))
+    for path in paths:
+        assert main(["check", path, "--order", "2"]) == 2, path
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, path
+    out = str(tmp_path / "missing" / "out.germ")
+    assert main(["normal-form", "--n", "2", "--k", "1", "--out", out]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+
+
 def test_classify_commands(tmp_path, capsys):
     path = write(tmp_path, "uv.germ", UV21)
     assert main(["classify", path, "--order", "3"]) == 0

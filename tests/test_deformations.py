@@ -4,6 +4,7 @@ jet slices and the function-side solve."""
 import random
 from fractions import Fraction
 from functools import partial
+from math import gcd
 
 import pytest
 
@@ -17,11 +18,13 @@ from whitney.deformations import (DeformAmbient, DeformationField,
                                   tf_apply, vi_basis, wf_apply)
 from whitney.errors import UncertifiedFieldError
 
+from whitney.integral_maps import owu_normal_form
 from whitney.linalg import JetSubspace
 from whitney.ring import TruncatedPoly, monomials_upto
 from whitney import deformations, linalg, stability
-from whitney.stability import (_tf_rows, check_contact_stability,
-                               check_legendre_stability, pullback_algebra_span)
+from whitney.stability import (_tf_rows, _wf_rows, check_contact_stability,
+                               check_legendre_stability, local_multiplicity,
+                               pullback_algebra_span)
 
 import oracles
 
@@ -375,6 +378,55 @@ def test_one_constraint_echelon_and_one_build_per_equation_degree(
     # the fail path projects the escalated space: the cusp fails at order 4
     report, top = run(lambda: check_contact_stability(cusp25, 4))
     assert report.verdict == "fail" and top > 4
+
+
+# -- integer rows ----------------------------------------------------------------------------
+
+
+def _forbid_row_from_fractions(monkeypatch):
+    def forbidden(entries):
+        raise AssertionError("verdict-path rows are built in ints")
+    for module in (deformations, stability):
+        monkeypatch.setattr(module, "row_from_fractions", forbidden)
+
+
+def test_checks_build_no_fraction_rows(monkeypatch, germ_corpus):
+    # passing germs with rational coefficients keep the dims that the
+    # Fraction-row builders gave (slice, tf, wf contact, wf Legendre, combined)
+    _forbid_row_from_fractions(monkeypatch)
+    cusp23, f42 = germ_corpus["cusp23_lift"], owu_normal_form(4, 2, cap=6)
+    cases = ((f42, 2, (95, 50, 80, 76, 95)), (f42, 3, (210, 120, 175, 158, 210)),
+             (cusp23, 5, (13, 6, 13, 12, 13)))
+    for f, r, (slice_dim, tf, wf_contact, wf_legendre, combined) in cases:
+        for check, wf in ((check_contact_stability, wf_contact),
+                          (check_legendre_stability, wf_legendre)):
+            report = check(f, r)
+            assert report.verdict == "pass"
+            assert report.dims == {"deformation_slice": slice_dim,
+                                   "pushforward_span": tf, "hamiltonian_span": wf,
+                                   "combined_span": combined, "deficiency": 0}
+    assert local_multiplicity(f42) == (3, True)
+    assert local_multiplicity(cusp23) == (1, True)
+
+
+def test_builder_rows_are_primitive_int_rows(monkeypatch, germ_corpus):
+    # the coefficients 5/2 (cusp25), 1/6 (f_4_2) and 3/2 (five_space) need a
+    # common denominator; every row reaches the echelon as ints of content 1
+    # with no zero entry, which the content reducer alone does not ensure
+    _forbid_row_from_fractions(monkeypatch)
+    for name, r in (("cusp25_lift", 5), ("f_4_2", 2), ("five_space", 3)):
+        f = germ_corpus[name]
+        ambient = DeformAmbient(f, r)
+        rows = _tf_rows(f, r, ambient) + _wf_rows(f, r, ambient, False)
+        rows += _wf_rows(f, r, ambient, True)
+        for R in range(r + 2):
+            for built, _ in (_vi_rows(f, R), _generating_kernel_rows(f, r, R),
+                             _generating_kernel_rows(f, f.cap, R),
+                             _projection_kernel_rows(f, R), _rf_rows(f, r, R)):
+                rows += built
+        for row in rows:
+            assert row and all(type(v) is int and v for v in row.values()), name
+            assert gcd(*row.values()) == 1, name
 
 
 def test_flat_line_slice_dims(flat_line):

@@ -8,13 +8,15 @@ import pytest
 
 from whitney.deformations import deformation_slice, rf_truncated
 from whitney.forms import source_chart
-from whitney.integral_maps import complete_from_uv, owu_normal_form
+from whitney.integral_maps import IntegralMap, complete_from_uv, owu_normal_form
 from whitney.ring import TruncatedPoly, monomials_upto
 from whitney.stability import (_fiber_generation_at, _inclusion_order_at,
+                               check_contact_stability, check_legendre_stability,
                                compute_conclusive_order, fiber_quotient,
                                local_multiplicity)
 
 import oracles
+import span_oracle
 
 # per-germ jet orders keeping the dense oracle runs fast; all <= 5
 ORACLE_ORDERS = {
@@ -167,3 +169,58 @@ def perturbed_germs(k, count, seed):
 def test_conclusive_order_perturbations_match_oracle(k):
     for g in perturbed_germs(k, count=3, seed=20 + k):
         assert_conclusive_order_matches_oracle(g)
+
+
+# -- generator spans ----------------------------------------------------------------
+
+
+def lifted_cusp(a, k):
+    """The lifted (a, k)-cusp p = (k/a) t^(k-a), q = t^a, r = t^k."""
+    ch = source_chart(1, names=["t"])
+    t = ch.var(0, k + 1)
+    return IntegralMap(1, [t ** (k - a) * Fraction(k, a), t ** a, t ** k],
+                       source=ch, provenance=f"cusp({a},{k})")
+
+
+def seeded_graph_germs(count, seed, cap=7):
+    """n = 2 graph-data germs without the x1*x2 term of v; they fail at
+    order 3."""
+    rng = random.Random(seed)
+    ch = source_chart(2)
+    x1, x2 = ch.var(0, cap), ch.var(1, cap)
+
+    def c():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    out = []
+    for _ in range(count):
+        u = x2 ** 2 * Fraction(rng.randint(1, 3), rng.randint(1, 3)) + x1 * x2 ** 2 * c()
+        v = x2 ** 3 * Fraction(rng.randint(1, 3), rng.randint(1, 4)) + x1 ** 2 * x2 * c()
+        out.append(complete_from_uv(2, u + x1 ** 2 * x2 * c(), v + x2 ** 4 * c(),
+                                    source=ch, provenance="seeded"))
+    return out
+
+
+def test_generator_spans_match_span_oracle(germ_corpus):
+    # pushforward, Hamiltonian and combined span dims of both checks against
+    # spans of every unpruned monomial Hamiltonian field
+    ch = source_chart(2)
+    x1, x2 = ch.var(0, 8), ch.var(1, 8)
+    split = complete_from_uv(2, x2 ** 3 * Fraction(1, 6) + x1 * x2, x2 ** 2,
+                             source=ch, provenance="split")
+    cases = [(germ_corpus[name], min(order, 4)) for name, order in ORACLE_ORDERS.items()
+             if name != "f_4_2"]
+    cases += [(germ_corpus["f_4_2"], 1), (split, 4), (split, 5)]
+    cases += [(lifted_cusp(a, k), r) for a, k, r in ((2, 9, 5), (3, 10, 6), (2, 7, 5))]
+    cases += [(f, 3) for f in seeded_graph_germs(4, 2026)]
+    verdicts = set()
+    for f, r in cases:
+        comps = bare_components(f)
+        for legendre, check in ((False, check_contact_stability),
+                                (True, check_legendre_stability)):
+            report = check(f, r)
+            verdicts.add(report.verdict)
+            got = tuple(report.dims[key] for key in
+                        ("pushforward_span", "hamiltonian_span", "combined_span"))
+            want = span_oracle.generator_dims(comps, f.n, f.source.dim, r, legendre)
+            assert got == want, (f.provenance, r, legendre)
+    assert verdicts == {"pass", "fail"}
