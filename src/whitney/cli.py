@@ -283,9 +283,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process: parse_args leaves the parser as it was and returns
+# a fresh namespace on every call
+_PARSER = build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if args.cap is not None:
             germdoc.check_cap(args.cap)

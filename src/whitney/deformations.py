@@ -16,8 +16,10 @@ the slice order over-counts (a jet can satisfy the visible equations without
 extending).  Every jet slice is therefore computed on one path, as one
 system grown one equation degree at a time.  A builder gives the equations
 that are new at a working order R, over columns that do not depend on R and
-whose first ones are the coordinates of degree <= r.  The builders are the
-membership system (degree R - 1 of the 1-form), its two kernel variants
+whose first ones are the coordinates of degree <= r: a call ``f -> (R ->
+(rows, ncols))`` that grades its system's polynomials once, to the highest
+working order cap - 1, and then walks only the slices that can land at R
+(``_form_rows``).  The builders are the membership system (degree R - 1 of the 1-form), its two kernel variants
 (plus degree R of the generating function, or phi = xi = 0 in degree R) and
 the chain-rule system of ``rf_truncated`` (function jets h with dh inside
 the truncated module spanned by the differentials of f's components).  One
@@ -33,14 +35,15 @@ Rows are built in Python ints, though the ring keeps Fractions: a builder
 takes one common denominator L of the coefficients its system uses, the int
 terms of L times each polynomial (``_graded``, ``_int_terms``), and divides
 each finished row by its content (``_primitive``), which gives the same rows.
+The composed monomials of the Hamiltonian rows in ``stability`` are int
+tables too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from math import lcm
+from math import comb, lcm
 from operator import add
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -291,90 +294,115 @@ def _primitive(row: Dict[int, int]) -> Row:
 
 
 def _graded(poly: TruncatedPoly, top: int, scale: int):
-    """The int terms of ``scale * poly`` of degree <= top, grouped by degree.
-    ``scale`` is +-L for one common denominator L of the system (its
-    constant unknown gets L), so each row is L times its rational row, and
-    the same after content reduction: a positive multiple of a row and the
-    row itself have one primitive integer vector, with the same sign."""
-    out = [[] for _ in range(top + 1)]
+    """The int terms of ``scale * poly`` of degree <= top, grouped by degree
+    (degree -> terms, nonempty degrees only).  ``scale`` is +-L for one
+    common denominator L of the system (its constant unknown gets L), so
+    each row is L times its rational row, and the same after content
+    reduction: a positive multiple of a row and the row itself have one
+    primitive integer vector, with the same sign."""
+    out: Dict[int, list] = {}
     for mono, coeff in _int_terms(poly, scale):
         if sum(mono) <= top:
-            out[sum(mono)].append((mono, coeff))
+            out.setdefault(sum(mono), []).append((mono, coeff))
     return out
 
 
-def _form_rows(n: int, R: int, unknowns):
-    """Sparse rows, keyed (dx_j, monomial mu), of the coefficients of degree
-    R - 1 of the 1-form sum g d(x^m) + x^m w over the unknowns (col, m, g, w):
-    a function g or a 1-form w = (w_1..w_n), the other None, with terms
-    grouped by ``_graded``.  An unknown of degree a meets only the terms of
-    degree R - a of g and R - 1 - a of w, so each equation is built once."""
-    eqs: Dict = {}
-    for col, m, g, w in unknowns:
-        for j in range(n):
-            if g is not None and m[j]:
-                _scatter(eqs, g[R - sum(m)], m[:j] + (m[j] - 1,) + m[j + 1:],
-                         R - 1, lambda mu: ((j, mu), col), m[j])
-            elif w is not None and sum(m) < R:
-                _scatter(eqs, w[j][R - 1 - sum(m)], m, R - 1,
-                         lambda mu: ((j, mu), col))
-    return [_primitive(r) for r in eqs.values()]
+def _form_rows(f: IntegralMap, n: int, factors, column, shift: int = 0):
+    """Builder ``R -> rows``: sparse rows, keyed (dx_j, monomial mu), of the
+    coefficients of degree R' - 1 (R' = R + shift) of the 1-form
+    sum g d(x^m) + x^m w over the unknowns of degree <= R, one per monomial
+    m (graded order) and (slot, g, w) of ``factors``, in column
+    ``column(pos, slot)`` of the pos-th m: a function g or a 1-form
+    w = (w_1..w_n), the other None, graded to cap - 1 once per system.  An
+    unknown is made when a working order first reaches its degree a, and
+    meets only the slice of degree R' - a of g and R' - 1 - a of w, so each
+    equation is built once; empty slices never reach ``_scatter``."""
+    made, nvars = [], f.source.dim
+
+    def rows(R: int):
+        if f.cap < R + 1:
+            raise CapShortfallError(
+                f"jet system at order {R} needs cap >= {R + 1}, f has {f.cap}")
+        start = len(made) // len(factors)
+        if start < comb(nvars + R, nvars):
+            monomials = monomials_upto(nvars, R)
+            made.extend((column(pos, slot), monomials[pos], sum(monomials[pos]), g, w)
+                        for pos in range(start, len(monomials)) for slot, g, w in factors)
+        eqs: Dict = {}
+        top, R = R, R + shift
+        for col, m, a, g, w in made:
+            if a > top:
+                break
+            if g is not None:
+                terms = g.get(R - a)
+                if terms:
+                    for j in range(n):
+                        if m[j]:
+                            _scatter(eqs, terms, m[:j] + (m[j] - 1,) + m[j + 1:],
+                                     R - 1, lambda mu: ((j, mu), col), m[j])
+            elif a < R:
+                for j in range(n):
+                    terms = w[j].get(R - 1 - a)
+                    if terms:
+                        _scatter(eqs, terms, m, R - 1, lambda mu: ((j, mu), col))
+        return [_primitive(r) for r in eqs.values()]
+    return rows
 
 
-def _vi_rows(f: IntegralMap, R: int):
-    """Builder of the membership system: for v of jet degree <= R, the
-    coefficients of degree R - 1 of
+def _vi_rows(f: IntegralMap):
+    """Builder ``R -> (rows, ncols)`` of the membership system: for v of jet
+    degree <= R, the coefficients of degree R - 1 of
 
         d(s) - sum (p_i o f) d(xi_i) - sum phi_i d(q_i o f).
 
     They involve only unknowns of degree <= R, and reappear unchanged in the
     system at every higher order."""
-    if f.cap < R + 1:
-        raise CapShortfallError(
-            f"jet system at order {R} needs cap >= {R + 1}, f has {f.cap}")
-    n, ambient = f.n, DeformAmbient(f, R)
+    if f.params:
+        raise VariableMismatchError("jet spaces need a parameter-free germ")
+    n, top, ncomps = f.n, f.cap - 1, 2 * f.n + 1
     p = [f.p_component(i) for i in range(n)]
     dq = [[f.q_component(i).partial(j) for j in range(n)] for i in range(n)]
     L = _denominator(p + [g for row in dq for g in row])
-    one = _graded(f.source.const(1, R), R, L)
-    minus_p = [_graded(g, R, -L) for g in p]
-    minus_dq = [[_graded(g, R, -L) for g in row] for row in dq]
-    unknowns = []
-    for m in ambient.monomials:
-        unknowns.append((ambient.column(2 * n, m), m, one, None))
-        unknowns += [(ambient.column(n + i, m), m, minus_p[i], None) for i in range(n)]
-        unknowns += [(ambient.column(i, m), m, None, minus_dq[i]) for i in range(n)]
-    return _form_rows(n, R, unknowns), ambient.dim
+    factors = [(2 * n, _graded(f.source.const(1, top), top, L), None)]
+    factors += [(n + i, _graded(g, top, -L), None) for i, g in enumerate(p)]
+    factors += [(i, None, [_graded(g, top, -L) for g in row])
+                for i, row in enumerate(dq)]
+    rows = _form_rows(f, n, factors, lambda pos, slot: pos * ncomps + slot)
+    return lambda R: (rows(R), ncomps * comb(n + R, n))
 
 
-def _generating_kernel_rows(f: IntegralMap, e_order: int, R: int):
+def _generating_kernel_rows(f: IntegralMap, e_order: int):
     """Builder of the membership system plus the vanishing of the
     coefficients of degree <= e_order of e(v) = s - sum (p_i o f) xi_i: at
     order R <= e_order the degree-R ones are new."""
-    rows, ncols = _vi_rows(f, R)
-    if R <= e_order:
-        # the degree-R coefficients of x^m (1 or -p_i) are those of degree
-        # (R + 1) - 1 of the one-slot 1-form x^m (1 or -p_i) dx_1
-        n, ambient = f.n, DeformAmbient(f, R)
-        p = [f.p_component(i) for i in range(n)]
-        L = _denominator(p)
-        factors = [(2 * n, _graded(f.source.const(1, R), R, L))]
-        factors += [(n + i, _graded(g, R, -L)) for i, g in enumerate(p)]
-        rows += _form_rows(1, R + 1, [(ambient.column(c, m), m, None, [g])
-                                      for m in ambient.monomials for c, g in factors])
-    return rows, ncols
+    vi, n, top = _vi_rows(f), f.n, f.cap - 1
+    p = [f.p_component(i) for i in range(n)]
+    L = _denominator(p)
+    # the degree-R coefficients of x^m (1 or -p_i) are those of degree
+    # (R + 1) - 1 of the one-slot 1-form x^m (1 or -p_i) dx_1
+    factors = [(2 * n, None, [_graded(f.source.const(1, top), top, L)])]
+    factors += [(n + i, None, [_graded(g, top, -L)]) for i, g in enumerate(p)]
+    e_rows = _form_rows(f, 1, factors, lambda pos, slot: pos * (2 * n + 1) + slot, 1)
+
+    def rows(R: int):
+        built, ncols = vi(R)
+        return (built + e_rows(R) if R <= e_order else built), ncols
+    return rows
 
 
-def _projection_kernel_rows(f: IntegralMap, R: int):
+def _projection_kernel_rows(f: IntegralMap):
     """Builder of the membership system plus phi = xi = 0 in degree R."""
-    rows, ncols = _vi_rows(f, R)
-    ambient = DeformAmbient(f, R)
-    rows += [{ambient.column(c, m): 1} for m in ambient.monomials if sum(m) == R
-             for c in range(2 * f.n)]
-    return rows, ncols
+    vi, n = _vi_rows(f), f.n
+
+    def rows(R: int):
+        built, ncols = vi(R)
+        return built + [{pos * (2 * n + 1) + c: 1}
+                        for pos in range(comb(n + R - 1, n), comb(n + R, n))
+                        for c in range(2 * n)], ncols
+    return rows
 
 
-def _rf_rows(f: IntegralMap, order: int, R: int):
+def _rf_rows(f: IntegralMap, order: int):
     """Builder of the chain-rule system of jets h of degree <= R with
     dh = sum a_c d(f_c) below degree R, a_c of degree <= R - 1: the
     coefficients of degree R - 1 of dh - sum a_c d(f_c).
@@ -382,18 +410,16 @@ def _rf_rows(f: IntegralMap, order: int, R: int):
     Columns: h of degree <= order first, then one group per monomial in
     graded order, holding an h slot (used above degree order) and one slot
     per a_c (used below degree R)."""
-    low, ambient = PolyAmbient(f.source.dim, order).dim, PolyAmbient(f.source.dim, R)
-    width = 2 * f.n + 2
+    nvars, top = f.source.dim, f.cap - 1
+    low, width = comb(nvars + order, nvars), 2 * f.n + 2
     df = [[comp.partial(j) for j in range(f.n)] for comp in f.components]
     L = _denominator(g for row in df for g in row)
-    one = _graded(f.source.const(1, R), R, L)
-    minus_df = [[_graded(g, R, -L) for g in row] for row in df]
-    unknowns = []
-    for pos, m in enumerate(ambient.monomials):
-        base = low + pos * width
-        unknowns.append((pos if pos < low else base, m, one, None))
-        unknowns += [(base + 1 + c, m, None, w) for c, w in enumerate(minus_df)]
-    return _form_rows(f.n, R, unknowns), low + width * ambient.dim
+    factors = [(0, _graded(f.source.const(1, top), top, L), None)]
+    factors += [(1 + c, None, [_graded(g, top, -L) for g in row])
+                for c, row in enumerate(df)]
+    rows = _form_rows(f, f.n, factors, lambda pos, slot: (
+        pos if slot == 0 and pos < low else low + pos * width + slot))
+    return lambda R: (rows(R), low + width * comb(nvars + R, nvars))
 
 
 def _system(new_rows, order: int):
@@ -448,7 +474,7 @@ def deformation_slice(f: IntegralMap, order: int,
     if max_working_order < order:
         raise CapShortfallError(
             f"slice at order {order} needs cap >= {order + 1}, f has {f.cap}")
-    new_rows = partial(_vi_rows, f)
+    new_rows = _vi_rows(f)
     R, dim, stabilized = _escalate(SolutionSpace(*_system(new_rows, order)), new_rows,
                                    order, max_working_order, DeformAmbient(f, order).dim)
     return SliceData(order, R, stabilized, dim)
@@ -465,7 +491,7 @@ def _stabilized_slice(f: IntegralMap, order: int, new_rows, low_dim: int) -> Jet
 def vi_basis(f: IntegralMap, order: int) -> JetSubspace:
     """Reduced basis of the jet slice of the deformation space at the given
     order (stabilized projection from the working order)."""
-    return _stabilized_slice(f, order, partial(_vi_rows, f),
+    return _stabilized_slice(f, order, _vi_rows(f),
                              DeformAmbient(f, order).dim)
 
 
@@ -478,14 +504,14 @@ def kernel_slice(f: IntegralMap, order: int, truncated: bool = False) -> JetSubs
     of the genuine kernel.
     """
     e_order = order if truncated else f.cap
-    return _stabilized_slice(f, order, partial(_generating_kernel_rows, f, e_order),
+    return _stabilized_slice(f, order, _generating_kernel_rows(f, e_order),
                              DeformAmbient(f, order).dim)
 
 
 def projection_kernel_slice(f: IntegralMap, order: int) -> JetSubspace:
     """Jet slice of the members killed by forgetting the Reeb direction
     (phi = xi = 0).  Generated by constants times the Reeb field along f."""
-    return _stabilized_slice(f, order, partial(_projection_kernel_rows, f),
+    return _stabilized_slice(f, order, _projection_kernel_rows(f),
                              DeformAmbient(f, order).dim)
 
 
@@ -496,7 +522,7 @@ def rf_truncated(f: IntegralMap, order: int) -> JetSubspace:
     if f.cap < order + 1:
         raise CapShortfallError(
             f"rf system at order {order} needs cap >= {order + 1}, f has {f.cap}")
-    return _stabilized_slice(f, order, partial(_rf_rows, f, order),
+    return _stabilized_slice(f, order, _rf_rows(f, order),
                              PolyAmbient(f.source.dim, order).dim)
 
 

@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from operator import add
 from typing import Dict, List, Optional, Tuple
 
 from .deformations import (DeformAmbient, PolyAmbient, _denominator, _escalate,
@@ -207,17 +208,27 @@ def local_multiplicity(f: IntegralMap, degree: Optional[int] = None):
 
 def _tf_rows(f: IntegralMap, order: int, ambient: DeformAmbient):
     """Rows of pushforwards of monomial source fields, truncated, from the
-    int terms of L times the partials (L a common denominator)."""
+    int terms of L times the partials (L a common denominator).  Each
+    partial keeps, for every k <= order, its terms of degree <= k in their
+    own order, so x^m meets only those of degree <= order - |m|."""
     rows: Dict = {}
     partials = [[comp.partial(j) for j in range(f.n)] for comp in f.components]
     L = _denominator(d for row in partials for d in row)
-    dcomps = [[_int_terms(d, L) for d in row] for row in partials]
+    upto = [[_terms_upto(_int_terms(d, L), order) for d in row] for row in partials]
     for j in range(f.n):
         for m in ambient.monomials:
+            room = order - sum(m)
             for c in range(2 * f.n + 1):
-                _scatter(rows, dcomps[c][j], m, order,
-                         lambda mu: ((j, m), ambient.column(c, mu)))
+                terms = upto[c][j][room]
+                if terms:
+                    _scatter(rows, terms, m, order,
+                             lambda mu: ((j, m), ambient.column(c, mu)))
     return [_primitive(r) for r in rows.values()]
+
+
+def _terms_upto(terms, top: int):
+    """For each k <= top, the (monomial, value) pairs of degree <= k."""
+    return [[t for t in terms if sum(t[0]) <= k] for k in range(top + 1)]
 
 
 def _hamiltonian_exponents(f: IntegralMap, order: int, legendre: bool):
@@ -272,11 +283,29 @@ def _hamiltonian_exponents(f: IntegralMap, order: int, legendre: bool):
     return [e for e, _, _ in prefixes if any(e)]
 
 
-def _composed_monomial(table: Dict[Tuple[int, ...], Optional[TruncatedPoly]],
-                       comps: List[TruncatedPoly], e: Tuple[int, ...]
-                       ) -> Optional[TruncatedPoly]:
-    """Product of component powers comps**e, or None when it truncates to
-    zero.  ``table`` memoizes every exponent reached and must hold the zero
+def _int_product(a, b, top: int):
+    """The product of two int tables (d, [(monomial, degree, int)]), each
+    standing for its terms divided by d, truncated at degree top: (d_a d_b,
+    the nonzero terms in the order ``TruncatedPoly.__mul__`` gives), or None
+    when it truncates to zero."""
+    (da, ta), (db, tb) = a, b
+    if len(ta) > len(tb):
+        ta, tb = tb, ta
+    out: Dict[Tuple[int, ...], int] = {}
+    for m1, d1, c1 in ta:
+        room = top - d1
+        for m2, d2, c2 in tb:
+            if d2 <= room:
+                mono = tuple(map(add, m1, m2))
+                out[mono] = out.get(mono, 0) + c1 * c2
+    terms = [(mono, sum(mono), v) for mono, v in out.items() if v]
+    return (da * db, terms) if terms else None
+
+
+def _composed_monomial(table: Dict, comps: List, top: int, e: Tuple[int, ...]):
+    """The int table (prod d_c^e_c, int terms) of the product of component
+    powers comps**e truncated at degree top, or None when that is zero.
+    ``table`` memoizes every exponent reached and must hold the zero
     exponent; a missing one comes from its predecessor along the first
     positive slot."""
     chain = []
@@ -287,19 +316,24 @@ def _composed_monomial(table: Dict[Tuple[int, ...], Optional[TruncatedPoly]],
     val = table[e]
     for key, i in reversed(chain):
         if val is not None:
-            val = val * comps[i]
-            if val.is_zero():
-                val = None
+            val = _int_product(val, comps[i], top)
         table[key] = val
     return val
 
 
 def _composed_monomials(f: IntegralMap, order: int):
-    """Lookup target exponent tuple -> product of component powers,
-    truncated at the jet order (None when zero), memoized per call."""
-    table = {(0,) * (2 * f.n + 1): f.source.const(1, order)}
-    comps = [c.truncate(order) if c.cap > order else c for c in f.components]
-    return partial(_composed_monomial, table, comps)
+    """Lookup target exponent tuple e -> the int table (d, [(monomial,
+    degree, int)]) of d times the product of component powers, truncated at
+    the jet order (None when zero), memoized per call.  Each component is
+    scaled by the common denominator d_c of its coefficients and truncated
+    once, and d is prod d_c^e_c, so no product touches a Fraction."""
+    comps = []
+    for c in f.components:
+        d = _denominator([c])
+        comps.append((d, [(m, sum(m), v) for m, v in _int_terms(c, d)
+                          if sum(m) <= order]))
+    table = {(0,) * (2 * f.n + 1): (1, [((0,) * f.source.dim, 0, 1)])}
+    return partial(_composed_monomial, table, comps, order)
 
 
 def _wf_rows(f: IntegralMap, order: int, ambient: DeformAmbient, legendre: bool):
@@ -310,21 +344,24 @@ def _wf_rows(f: IntegralMap, order: int, ambient: DeformAmbient, legendre: bool)
       phi_i slot: e_{q_i} M(e - u_{q_i}) + e_r M(e - u_r + u_{p_i})
       xi_i  slot: -e_{p_i} M(e - u_{p_i})
       r    slot: (1 - sum_i e_{p_i}) M(e)
+
+    M comes as int tables (d, d M), and a row is built as L times its
+    rational row, L the lcm of its parts' d.  A positive multiple of a row
+    content-reduces to the same primitive row, so d = prod d_c^e_c, not the
+    least denominator of M(e), changes no row.
     """
     n = f.n
     ncomps = 2 * n + 1
     r_slot = 2 * n
     M = _composed_monomials(f, order)
-    zero, ints = f.source.zero(order), {}
+    ints = {}
     rows = []
 
     def int_part(e):
         # M(e) as (d, [(slot-0 column, int coefficient of d * M(e))])
         if e not in ints:
-            poly = M(e) or zero
-            d = _denominator([poly])
-            ints[e] = (d, [(ambient.mono_pos[m] * ncomps, v)
-                           for m, v in _int_terms(poly, d)])
+            d, terms = M(e) or (1, ())
+            ints[e] = (d, [(ambient.mono_pos[m] * ncomps, v) for m, _, v in terms])
         return ints[e]
 
     for e in _hamiltonian_exponents(f, order, legendre):
@@ -371,7 +408,7 @@ def _stability_check(f: IntegralMap, order: int, legendre: bool) -> StabilityRep
         raise CapShortfallError(
             f"stability check at order {order} needs cap >= {order + 1}")
     ambient = DeformAmbient(f, order)
-    new_rows = partial(_vi_rows, f)
+    new_rows = _vi_rows(f)
     constraints, _ = _system(new_rows, order)
     tf_rows = _tf_rows(f, order, ambient)
     wf_rows = _wf_rows(f, order, ambient, legendre)

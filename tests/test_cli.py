@@ -114,6 +114,27 @@ def test_check_contact_cusp_fails(tmp_path, capsys):
     assert payload["witnesses"]
 
 
+def test_parser_is_built_once_and_reused(tmp_path, capsys):
+    # one parser serves every call: a --mode given to one call does not
+    # leak into the next, and every output matches a freshly built parser's
+    path = write(tmp_path, "cusp.germ", CUSP)
+    calls = (["check", path, "--mode", "a2r", "--order", "3"],
+             ["check", path, "--order", "3"],
+             ["classify", path, "--order", "3", "--json"],
+             ["check", path, "--order", "3", "--json"])
+    shared = []
+    for argv in calls:
+        shared.append((main(argv), capsys.readouterr()))
+    assert "mode: a2r" in shared[0][1].out
+    assert "mode: contact" in shared[1][1].out
+    assert json.loads(shared[3][1].out)["mode"] == "contact"
+    fresh = []
+    for argv in calls:
+        args = cli.build_parser().parse_args(argv)
+        fresh.append((args.func(args), capsys.readouterr()))
+    assert shared == fresh
+
+
 def test_check_malformed_exit(tmp_path, capsys):
     path = write(tmp_path, "bad.germ", "n = 1\np1 = t\nq1 = t\nr = t\nvars = t\n")
     assert main(["check", path]) == 2

@@ -1,9 +1,9 @@
 """Deformation fields: certificates, generating functions, module structure,
 jet slices and the function-side solve."""
 
+import hashlib
 import random
 from fractions import Fraction
-from functools import partial
 from math import gcd
 
 import pytest
@@ -298,16 +298,16 @@ def test_order_R_rows_reappear_at_order_R_plus_1(germ_corpus):
         order = 2
         top = 5 if f.n <= 2 else 3
         builders = (
-            (partial(_vi_rows, f), _dense_vi, _deform_labels),
-            (partial(_generating_kernel_rows, f, order),
+            (_vi_rows(f), _dense_vi, _deform_labels),
+            (_generating_kernel_rows(f, order),
              lambda f, R: _dense_vi(f, R) + _dense_e_rows(f, R, order), _deform_labels),
-            (partial(_generating_kernel_rows, f, f.cap),
+            (_generating_kernel_rows(f, f.cap),
              lambda f, R: _dense_vi(f, R) + _dense_e_rows(f, R, R), _deform_labels),
-            (partial(_projection_kernel_rows, f),
+            (_projection_kernel_rows(f),
              lambda f, R: _dense_vi(f, R) + [
                  {(c, m): 1} for c in range(2 * f.n)
                  for m in oracles.monos(f.source.dim, R)], _deform_labels),
-            (partial(_rf_rows, f, order), _dense_rf,
+            (_rf_rows(f, order), _dense_rf,
              lambda f, R: _rf_labels(f, order, R)),
         )
         for k, (new_rows, dense, labels) in enumerate(builders):
@@ -325,9 +325,10 @@ def test_order_R_rows_reappear_at_order_R_plus_1(germ_corpus):
 
 def _count_builds(monkeypatch):
     """Count the constraint echelons built (every Echelon that is neither a
-    JetSubspace nor a stability span) and the working orders whose equations
-    are built."""
-    seen = {"echelons": 0, "spans": 0, "orders": []}
+    JetSubspace nor a stability span), the builders made (each grades its
+    system when it is made), the working orders whose equations are built,
+    and the tables graded after the first equations were built."""
+    seen = {"echelons": 0, "spans": 0, "builders": 0, "orders": [], "late_grades": 0}
 
     def counting(cls, key):
         init = cls.__init__
@@ -339,14 +340,25 @@ def _count_builds(monkeypatch):
     counting(linalg.Echelon, "echelons")
     counting(linalg.JetSubspace, "spans")
     counting(stability._SpanEchelon, "spans")
-    for name in ("_vi_rows", "_rf_rows"):
-        build = getattr(deformations, name)
+    graded = deformations._graded
 
-        def wrapped(*args, build=build):
-            seen["orders"].append(args[-1])      # the working order R
-            return build(*args)
+    def counting_graded(*args):
+        seen["late_grades"] += bool(seen["orders"])
+        return graded(*args)
+    monkeypatch.setattr(deformations, "_graded", counting_graded)
+    for name in ("_vi_rows", "_rf_rows"):
+        make = getattr(deformations, name)
+
+        def wrapped(*args, make=make):
+            seen["builders"] += 1
+            build = make(*args)
+
+            def rows(R):
+                seen["orders"].append(R)
+                return build(R)
+            return rows
         for module in (deformations, stability):
-            if getattr(module, name, None) is build:
+            if getattr(module, name, None) is make:
                 monkeypatch.setattr(module, name, wrapped)
     return seen
 
@@ -356,10 +368,12 @@ def test_one_constraint_echelon_and_one_build_per_equation_degree(
     seen = _count_builds(monkeypatch)
 
     def run(call):
-        seen.update(echelons=0, spans=0, orders=[])
+        seen.update(echelons=0, spans=0, builders=0, orders=[], late_grades=0)
         result = call()
-        # one echelon takes every equation degree, each built once
+        # one echelon takes every equation degree, each built once, from
+        # tables graded once, before the first equations
         assert seen["echelons"] - seen["spans"] == 1
+        assert seen["builders"] == 1 and seen["late_grades"] == 0
         top = max(seen["orders"])
         assert seen["orders"] == list(range(top + 1))
         return result, top
@@ -419,14 +433,44 @@ def test_builder_rows_are_primitive_int_rows(monkeypatch, germ_corpus):
         ambient = DeformAmbient(f, r)
         rows = _tf_rows(f, r, ambient) + _wf_rows(f, r, ambient, False)
         rows += _wf_rows(f, r, ambient, True)
+        builders = (_vi_rows(f), _generating_kernel_rows(f, r),
+                    _generating_kernel_rows(f, f.cap), _projection_kernel_rows(f),
+                    _rf_rows(f, r))
         for R in range(r + 2):
-            for built, _ in (_vi_rows(f, R), _generating_kernel_rows(f, r, R),
-                             _generating_kernel_rows(f, f.cap, R),
-                             _projection_kernel_rows(f, R), _rf_rows(f, r, R)):
-                rows += built
+            for build in builders:
+                rows += build(R)[0]
         for row in rows:
             assert row and all(type(v) is int and v for v in row.values()), name
             assert gcd(*row.values()) == 1, name
+
+
+# sha256 of the rows below as the builders made them before they graded
+# their tables once per system: any change of a row, of the row order or of
+# the column count changes it
+BUILDER_ROWS_SHA256 = "432b4b5cc14430ac9c2fdf9436fd5e6f48a9eff3b71267a5565261f3b5938896"
+
+
+def test_builder_rows_match_pinned_digest(germ_corpus):
+    digest = hashlib.sha256()
+    cases = (("cusp25_lift", germ_corpus["cusp25_lift"], 5),
+             ("f_4_2", owu_normal_form(4, 2, cap=6), 2),
+             ("five_space", germ_corpus["five_space"], 3))
+    for name, f, r in cases:
+        systems = (("vi", _vi_rows(f)), ("ker_r", _generating_kernel_rows(f, r)),
+                   ("ker_cap", _generating_kernel_rows(f, f.cap)),
+                   ("proj", _projection_kernel_rows(f)), ("rf", _rf_rows(f, r)))
+        for label, build in systems:
+            for R in range(r + 3):
+                rows, ncols = build(R)
+                digest.update(repr((name, label, R, ncols,
+                                    [sorted(row.items()) for row in rows])).encode())
+        amb = DeformAmbient(f, r)
+        for label, rows in (("tf", _tf_rows(f, r, amb)),
+                            ("wf", _wf_rows(f, r, amb, False)),
+                            ("wf_legendre", _wf_rows(f, r, amb, True))):
+            digest.update(repr((name, label,
+                                [sorted(row.items()) for row in rows])).encode())
+    assert digest.hexdigest() == BUILDER_ROWS_SHA256
 
 
 def test_flat_line_slice_dims(flat_line):

@@ -8,13 +8,15 @@ from fractions import Fraction
 import pytest
 
 from whitney import stability
-from whitney.deformations import DeformAmbient
+from whitney.deformations import (DeformAmbient, _generating_kernel_rows,
+                                  _projection_kernel_rows, _rf_rows, _vi_rows)
 from whitney.errors import CapShortfallError, VariableMismatchError
 from whitney.forms import source_chart
 from whitney.integral_maps import (IntegralMap, complete_from_uv,
                                    integrality_violation, owu_normal_form)
 from whitney.ring import TruncatedPoly, monomials_upto, parse_expression
-from whitney.stability import (_wf_rows, check_contact_stability,
+from whitney.stability import (_composed_monomials, _hamiltonian_exponents,
+                               _tf_rows, _wf_rows, check_contact_stability,
                                check_fiber_generation, check_generation_stable,
                                check_legendre_stability, classify_umbrella,
                                compute_conclusive_order, default_order,
@@ -126,6 +128,11 @@ def test_calls_leave_no_cyclic_garbage():
     calls = [
         ("pullback_products", lambda: pullback_products(f, 8)),
         ("_wf_rows", lambda: _wf_rows(f, 4, DeformAmbient(f, 4), False)),
+        ("_tf_rows", lambda: _tf_rows(f, 4, DeformAmbient(f, 4))),
+        ("_vi_rows", lambda: _vi_rows(f)(4)),
+        ("_generating_kernel_rows", lambda: _generating_kernel_rows(f, 3)(4)),
+        ("_projection_kernel_rows", lambda: _projection_kernel_rows(f)(4)),
+        ("_rf_rows", lambda: _rf_rows(f, 3)(4)),
         ("compute_conclusive_order", lambda: compute_conclusive_order(f)),
         ("fiber_quotient", lambda: fiber_quotient(f)),
         ("check_contact_stability", lambda: check_contact_stability(f, 3)),
@@ -142,6 +149,27 @@ def test_calls_leave_no_cyclic_garbage():
             assert gc.collect() == 0, name
     finally:
         gc.enable()
+
+
+def test_composed_monomials_are_scaled_ring_products(germ_corpus):
+    # d * M(e) from the int table is the truncated ring product of the
+    # component powers times d, for every exponent the Hamiltonian rows use
+    for f in germ_corpus.values():
+        order = 3 if f.n <= 2 else 2
+        M = _composed_monomials(f, order)
+        comps = [c.truncate(order) for c in f.components]
+        for e in _hamiltonian_exponents(f, order, legendre=False):
+            product = f.source.const(1, order)
+            for comp, k in zip(comps, e):
+                product = product * comp ** k
+            table = M(e)
+            if product.is_zero():
+                assert table is None, (f.provenance, e)
+                continue
+            d, terms = table
+            assert d > 0 and all(sum(m) == deg for m, deg, _ in terms)
+            assert {m: v for m, _, v in terms} == {
+                m: d * c for m, c in product.terms.items()}, (f.provenance, e)
 
 
 # -- fiber generation -------------------------------------------------------------------
