@@ -13,6 +13,7 @@ parameters), ``cap`` (default 10), ``order`` (requested jet order).
 from __future__ import annotations
 
 import json
+from itertools import chain, islice
 from typing import Dict, Optional, Tuple
 
 from .errors import ParseError
@@ -113,7 +114,7 @@ def parse_germ_document(text: str) -> GermDocument:
     order = None
     if "order" in entries:
         order = _integer(entries, "order")
-    var_names = tuple(f"x{i + 1}" for i in range(n))
+    var_names: Tuple[str, ...] = ()
     if "vars" in entries:
         var_names = tuple(v.strip() for v in entries.pop("vars").split(",") if v.strip())
         if len(var_names) != n:
@@ -125,27 +126,30 @@ def parse_germ_document(text: str) -> GermDocument:
     for flag in ("complete", "isotropic"):
         if flag in entries:
             flags[flag] = entries.pop(flag).lower() in ("true", "1", "yes")
-    labels_full = set(component_labels(n))
-    labels_iso = {f"p{i + 1}" for i in range(n)} | {f"q{i + 1}" for i in range(n)}
     keys = set(entries)
+    # a full or isotropic document has at least 2n component keys; the count
+    # is compared before any label is built, so a huge n costs nothing
+    short = len(keys) < 2 * n
     if flags.get("complete"):
         if keys != {"u", "v"}:
             raise ParseError("completion form needs exactly the keys u and v")
         kind = "uv"
     elif flags.get("isotropic"):
-        extra = keys - labels_iso - {"e"}
-        if extra or not labels_iso <= keys:
+        if short or keys - {"e"} != set(component_labels(n)[:-1]):
             raise ParseError("isotropic form needs exactly p1..pn, q1..qn (and optional e)")
         kind = "isotropic"
-    elif keys == labels_full:
-        kind = "full"
     elif keys == {"u", "v"}:
         kind = "uv"
+    elif not short and keys == set(component_labels(n)):
+        kind = "full"
     else:
-        missing = labels_full - keys
+        # the first few missing labels, made lazily
+        labels = chain((f"{s}{i + 1}" for s in "pq" for i in range(n)), "r")
+        missing = ", ".join(islice((x for x in labels if x not in keys), 3))
         raise ParseError(
             "expected the full component set p1..pn, q1..qn, r "
-            f"(missing {sorted(missing)}), or u/v with complete = true")
+            f"(first missing: {missing}), or u/v with complete = true")
+    var_names = var_names or tuple(f"x{i + 1}" for i in range(n))
     return GermDocument(n, cap, var_names, params, kind, dict(entries), order)
 
 

@@ -564,7 +564,16 @@ class _Parser(_Tokenizer):
             start = self.pos
             while self.pos < len(self.text) and self.text[self.pos].isdigit():
                 self.pos += 1
-            value = value ** int(self.text[start:self.pos])
+            k = int(self.text[start:self.pos])
+            if len(value.terms) == 1:
+                # a single term c x^m is raised in one step to c^k x^(km); its
+                # degree is checked first, so a power above the cap is free
+                (mono, c), = value.terms.items()
+                terms = ({tuple(k * e for e in mono): c ** k}
+                         if k * sum(mono) <= self.cap else {})
+                value = TruncatedPoly(self.nvars, self.cap, self.kinds, terms)
+            else:
+                value = value ** k
         return value
 
 

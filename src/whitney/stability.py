@@ -40,7 +40,7 @@ from .forms import source_chart
 from .integral_maps import IntegralMap, complete_from_uv
 from .linalg import (Echelon, JetSubspace, Row, SolutionSpace, annihilates,
                      row_from_fractions)
-from .ring import INF, TruncatedPoly
+from .ring import TruncatedPoly
 
 OUTER_APPROX_CAVEAT = (
     "jet slice is the projection of the membership system solved at the "
@@ -232,55 +232,46 @@ def _terms_upto(terms, top: int):
 
 
 def _hamiltonian_exponents(f: IntegralMap, order: int, legendre: bool):
-    """Exponent vectors of monomial Hamiltonians that can contribute to the
-    jet slice at this order.
+    """(live, exponents): the set of the target exponents x whose composed
+    monomial M(x) is nonzero, and in lexicographic order the exponents e != 0
+    of the monomial Hamiltonians whose field along f has a part M(x) with x
+    live (see ``_wf_rows``).
 
-    A monomial of target exponent e composes along f with source order
-    sum e_i ord_i, and each slot of its Hamiltonian field divides out at
-    most one variable; exponents whose every slot lands above the jet order
-    are pruned.  Components pulled back to zero may appear with exponent at
-    most one (only the divided slot can survive).  The total degree is also
-    bounded by order + 2.
+    The lowest form of a product is the product of the lowest forms, nonzero
+    since a polynomial ring is a domain, of degree sum_c x_c ord(c).  So x
+    is live exactly when it puts no exponent on a component that is zero or
+    truncates to zero at the jet order, and sum_c x_c ord(c) <= order.
+    Components vanish at the origin, so each ord(c) >= 1, the set is
+    finite, and lowering an entry of a live x keeps it live.
+
+    The parts of e are M(x) for x = e - u_c (c a p- or q-slot), e - u_r +
+    u_{p_i} and e, so e is one step above a live x: x + u_c, x + u_r -
+    u_{p_i} (x_{p_i} >= 1) or x.  Each such part has a nonzero factor but
+    the r slot of e = x when sum_i e_{p_i} = 1, and then the xi_i part of
+    the p_i with e_{p_i} = 1 is live.  So these are exactly the exponents
+    with a live part; their degree is at most order + 1, inside the
+    Hamiltonian degree bound order + 2.  Legendre keeps those affine in p.
     """
-    ncomps = 2 * f.n + 1
-    orders = []
-    for c in f.components:
-        o = c.order()
-        orders.append(None if o == INF else int(o))
-    finite = [o for o in orders if o is not None]
-    maxord = max(finite) if finite else 1
-    budget = order + maxord
-    # (prefix, weighted order, total degree), extended one slot at a time;
-    # extending each prefix in ascending k keeps the prefixes in
-    # lexicographic order
-    prefixes = [((), 0, 0)]
-    for slot in range(ncomps):
-        w = orders[slot]
-        grown = []
-        for e, weighted, total in prefixes:
-            if legendre and slot < f.n:
-                # affine in p: at most one p factor overall
-                limit = 1 - sum(e)
-            else:
-                limit = None
-            k = 0
-            while True:
-                if limit is not None and k > limit:
-                    break
-                if total + k > order + 2:
-                    break
-                if w is None:
-                    if k > 1:
-                        break
-                    extra = 0
-                else:
-                    extra = w * k
-                    if weighted + extra > budget:
-                        break
-                grown.append((e + (k,), weighted + extra, total + k))
-                k += 1
-        prefixes = grown
-    return [e for e, _, _ in prefixes if any(e)]
+    prefixes = [((), 0)]            # (prefix, its weighted order)
+    for comp in f.components:
+        w = comp.order()
+        if w > order:
+            prefixes = [(x + (0,), s) for x, s in prefixes]
+        else:
+            prefixes = [(x + (k,), s + k * w) for x, s in prefixes
+                        for k in range((order - s) // w + 1)]
+    live = {x for x, _ in prefixes}
+    n, r_slot = f.n, 2 * f.n
+    found = set()
+    for x in live:
+        found.add(x)
+        for c in range(r_slot):
+            found.add(x[:c] + (x[c] + 1,) + x[c + 1:])
+        for i in range(n):
+            if x[i]:
+                found.add(x[:i] + (x[i] - 1,) + x[i + 1:r_slot] + (x[r_slot] + 1,))
+    found.discard((0,) * (r_slot + 1))
+    return live, sorted(e for e in found if not legendre or sum(e[:n]) <= 1)
 
 
 def _int_product(a, b, top: int):
@@ -345,14 +336,21 @@ def _wf_rows(f: IntegralMap, order: int, ambient: DeformAmbient, legendre: bool)
       xi_i  slot: -e_{p_i} M(e - u_{p_i})
       r    slot: (1 - sum_i e_{p_i}) M(e)
 
+    M(x) is nonzero exactly when x is live, a weight rule (see
+    ``_hamiltonian_exponents``), so only exponents with a live part are
+    visited, and a dead part, which adds no entry, is skipped without a
+    lookup.
+
     M comes as int tables (d, d M), and a row is built as L times its
-    rational row, L the lcm of its parts' d.  A positive multiple of a row
-    content-reduces to the same primitive row, so d = prod d_c^e_c, not the
-    least denominator of M(e), changes no row.
+    rational row, L the lcm of its live parts' d (a dead part counted d = 1,
+    so L is the same).  A positive multiple of a row content-reduces to the
+    same primitive row, so d = prod d_c^e_c, not the least denominator of
+    M(e), changes no row.
     """
     n = f.n
     ncomps = 2 * n + 1
     r_slot = 2 * n
+    live, exponents = _hamiltonian_exponents(f, order, legendre)
     M = _composed_monomials(f, order)
     ints = {}
     rows = []
@@ -360,32 +358,28 @@ def _wf_rows(f: IntegralMap, order: int, ambient: DeformAmbient, legendre: bool)
     def int_part(e):
         # M(e) as (d, [(slot-0 column, int coefficient of d * M(e))])
         if e not in ints:
-            d, terms = M(e) or (1, ())
+            d, terms = M(e)
             ints[e] = (d, [(ambient.mono_pos[m] * ncomps, v) for m, _, v in terms])
         return ints[e]
 
-    for e in _hamiltonian_exponents(f, order, legendre):
+    for e in exponents:
         e_r = e[r_slot]
         p_total = sum(e[:n])
-        parts = []              # (slot, int factor, int part of M)
+        parts = []              # (slot, int factor, exponent x of M(x))
         # phi_i slots
         for i in range(n):
             if e[n + i]:
-                reduced = e[:n + i] + (e[n + i] - 1,) + e[n + i + 1:]
-                parts.append((i, e[n + i], int_part(reduced)))
+                parts.append((i, e[n + i], e[:n + i] + (e[n + i] - 1,) + e[n + i + 1:]))
             if e_r:
-                shifted = list(e)
-                shifted[r_slot] -= 1
-                shifted[i] += 1
-                parts.append((i, e_r, int_part(tuple(shifted))))
+                parts.append((i, e_r, e[:i] + (e[i] + 1,) + e[i + 1:r_slot] + (e_r - 1,)))
         # xi_i slots
         for i in range(n):
             if e[i]:
-                reduced = e[:i] + (e[i] - 1,) + e[i + 1:]
-                parts.append((n + i, -e[i], int_part(reduced)))
+                parts.append((n + i, -e[i], e[:i] + (e[i] - 1,) + e[i + 1:]))
         # r slot
         if p_total != 1:
-            parts.append((r_slot, 1 - p_total, int_part(e)))
+            parts.append((r_slot, 1 - p_total, e))
+        parts = [(slot, k, int_part(x)) for slot, k, x in parts if x in live]
         # one scale per row: the lcm of its parts' denominators
         L = math.lcm(*(d for _, _, (d, _) in parts))
         entries: Dict[int, int] = {}
@@ -417,15 +411,16 @@ def _stability_check(f: IntegralMap, order: int, legendre: bool) -> StabilityRep
         raise CapShortfallError("generator escaped the jet slice; cap too small?")
     space = SolutionSpace(constraints, ambient.dim)     # grown by _escalate
     outer_dim = space.dim
-    # the tf rows go in first, so the rank at that checkpoint is the
-    # pushforward span
-    total, wf_span = _SpanEchelon(ambient), _SpanEchelon(ambient)
-    for row in tf_rows:
-        total.insert(row)
-    tf_dim = total.rank
+    # the wf rows go into total first, so the rank at that checkpoint is the
+    # Hamiltonian span; the tf rows follow, into total and into a tf-only
+    # echelon for the pushforward span
+    total, tf_span = _SpanEchelon(ambient), _SpanEchelon(ambient)
     for row in wf_rows:
         total.insert(row)
-        wf_span.insert(row)
+    wf_dim = total.rank
+    for row in tf_rows:
+        total.insert(row)
+        tf_span.insert(row)
     combined_dim = total.rank
     if outer_dim == combined_dim:
         # the one-shot slice already agrees with the span: projection can
@@ -459,8 +454,8 @@ def _stability_check(f: IntegralMap, order: int, legendre: bool) -> StabilityRep
         verdict=verdict,
         dims={
             "deformation_slice": dim,
-            "pushforward_span": tf_dim,
-            "hamiltonian_span": wf_span.rank,
+            "pushforward_span": tf_span.rank,
+            "hamiltonian_span": wf_dim,
             "combined_span": combined_dim,
             "deficiency": deficiency,
         },

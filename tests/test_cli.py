@@ -1,6 +1,7 @@
 """Germ documents and the command-line front end."""
 
 import json
+import time
 
 import pytest
 
@@ -82,6 +83,22 @@ def test_document_errors():
     with pytest.raises(ParseError):
         # unknown variables surface when the expressions are parsed
         parse_germ_document("n = 1\nu = bogusvar\nv = x1").to_integral_map()
+
+
+def test_huge_n_is_refused_before_labels_are_built(tmp_path, capsys):
+    # the key count is compared with n first, and the error names only a
+    # few missing labels, so a five-line document with n = 1000000 fails fast
+    text = "n = 1000000\ncap = 4\np1 = x1\nq1 = x1^2\nr = x1^3\n"
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as err:
+        parse_germ_document(text)
+    assert time.perf_counter() - start < 0.5
+    assert len(str(err.value)) < 200 and "first missing: p2, p3, p4)" in str(err.value)
+    path = write(tmp_path, "huge.germ", text)
+    assert main(["check", path]) == 2
+    assert len(capsys.readouterr().err) < 300
+    with pytest.raises(ParseError, match="isotropic form"):
+        parse_germ_document("n = 1000000\nisotropic = true\np1 = x1\nq1 = x1^2\n")
 
 
 # -- CLI ------------------------------------------------------------------------------------

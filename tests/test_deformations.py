@@ -473,6 +473,63 @@ def test_builder_rows_match_pinned_digest(germ_corpus):
     assert digest.hexdigest() == BUILDER_ROWS_SHA256
 
 
+# -- an independent oracle for the Hamiltonian rows -----------------------------------------
+
+
+def _target_monomial(f, e, cap):
+    chart = f.target.chart
+    H = chart.const(1, cap)
+    for i, k in enumerate(e):
+        H = H * chart.var(i, cap) ** k
+    return H
+
+
+def test_wf_rows_match_hamiltonian_fields_of_monomials():
+    # the contact Hamiltonian field of every target monomial H of degree
+    # <= r + 2 (affine in p for Legendre), in lex order, pulled back along f
+    # through contact_hamiltonian and the ring: its nonzero truncated rows,
+    # then the Reeb row, are exactly _wf_rows.  This route shares no code
+    # with the composed monomial tables, the slot formula or the pruning of
+    # exponents without a live part, so it checks all three
+    for (n, k), r in (((1, 0), 4), ((2, 1), 4), ((3, 1), 3)):
+        f = owu_normal_form(n, k, cap=r + 1)
+        ambient = DeformAmbient(f, r)
+        for legendre in (False, True):
+            expected = []
+            for e in sorted(monomials_upto(2 * n + 1, r + 2)):
+                if any(e) and not (legendre and sum(e[:n]) > 1):
+                    row = ambient.field_to_row(
+                        wf_apply(f, _target_monomial(f, e, r + 2)))
+                    if row:
+                        expected.append(row)
+            expected.append(ambient.field_to_row(reeb_along(f)))
+            assert _wf_rows(f, r, ambient, legendre) == expected, (n, k, legendre)
+
+
+def test_hamiltonian_fields_are_the_module_orbit_of_reeb(f21):
+    # wf(H) = H * R for the Reeb field R along f, and wf(KH) = K * wf(H): the
+    # Hamiltonian rows are the orbit of one generator under the module
+    # multiplication on infinitesimal integral deformations; and K * tf(xi)
+    # = tf((K o f) xi), because e(tf xi) = 0, so tf + wf is a module
+    local = random.Random(20261017)
+
+    def rand_poly(chart, maxdeg):
+        monos = monomials_upto(chart.dim, maxdeg)
+        return TruncatedPoly(chart.dim, 10, chart.kinds, {
+            local.choice(monos): Fraction(local.randint(-3, 3)) for _ in range(4)})
+
+    for f in (f21, owu_normal_form(1, 0, cap=10)):
+        reeb = reeb_along(f)
+        for _ in range(4):
+            H, K = rand_poly(f.target.chart, 2), rand_poly(f.target.chart, 2)
+            assert fields_same(wf_apply(f, H), module_mult(H, reeb))
+            assert fields_same(wf_apply(f, K * H), module_mult(K, wf_apply(f, H)))
+            xi = [rand_poly(f.source, 3) for _ in range(f.n)]
+            Kf = f.pullback_function(K)
+            assert fields_same(module_mult(K, tf_apply(f, xi)),
+                               tf_apply(f, [Kf * x for x in xi]))
+
+
 def test_flat_line_slice_dims(flat_line):
     assert vi_basis(flat_line, 0).dim == 3
     assert vi_basis(flat_line, 2).dim == 7

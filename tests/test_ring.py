@@ -1,5 +1,6 @@
 """Truncated polynomial arithmetic, weighted order, parser round trips."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -211,6 +212,26 @@ def test_parse_deep_nesting_is_parse_error():
         darboux("(" * depth + "p1" + ")" * depth)
     # moderate nesting still parses
     assert darboux("(" * 50 + "p1" + ")" * 50).same_jet(darboux("p1"))
+
+
+def test_power_of_one_term_matches_generic_power():
+    # a single term is raised in one step; the result is the generic
+    # TruncatedPoly.__pow__ of the parsed base, zero above the cap included
+    cases = ("x1", "(-2/3*x2)", "(x1*x3)", "(-x1^2*x2)", "5/2", "(1/2*x3)")
+    for base in cases:
+        for k in (0, 1, 2, 3, 4, 5, 9):
+            assert poly3(f"{base}^{k}") == poly3(base) ** k, (base, k)
+    assert poly3("x1^0") == poly3("1")
+    assert poly3("x1^9").is_zero() and poly3("(2*x1*x2)^5").is_zero()
+    assert poly3("x1^2^3") == poly3("x1^6")
+    assert poly3("(x1 + x2)^3") == poly3("x1 + x2") ** 3
+
+
+def test_huge_power_of_one_term_is_zero_at_once():
+    start = time.perf_counter()
+    assert poly3("x1^999999999").is_zero()
+    assert poly3("7*(x2)^999999999 + x3").same_jet(poly3("x3"))
+    assert time.perf_counter() - start < 0.5
 
 
 @given(random_poly(nvars=3, maxdeg=5))

@@ -153,16 +153,20 @@ def test_calls_leave_no_cyclic_garbage():
 
 def test_composed_monomials_are_scaled_ring_products(germ_corpus):
     # d * M(e) from the int table is the truncated ring product of the
-    # component powers times d, for every exponent the Hamiltonian rows use
+    # component powers times d, and the product is zero exactly off the live
+    # exponents: checked on every live exponent (the ones the Hamiltonian
+    # rows look up) and on every Hamiltonian exponent, one step above them
     for f in germ_corpus.values():
         order = 3 if f.n <= 2 else 2
         M = _composed_monomials(f, order)
         comps = [c.truncate(order) for c in f.components]
-        for e in _hamiltonian_exponents(f, order, legendre=False):
+        live, exponents = _hamiltonian_exponents(f, order, legendre=False)
+        for e in live | set(exponents):
             product = f.source.const(1, order)
             for comp, k in zip(comps, e):
                 product = product * comp ** k
             table = M(e)
+            assert product.is_zero() == (e not in live), (f.provenance, e)
             if product.is_zero():
                 assert table is None, (f.provenance, e)
                 continue
@@ -170,6 +174,63 @@ def test_composed_monomials_are_scaled_ring_products(germ_corpus):
             assert d > 0 and all(sum(m) == deg for m, deg, _ in terms)
             assert {m: v for m, _, v in terms} == {
                 m: d * c for m, c in product.terms.items()}, (f.provenance, e)
+
+
+def _wf_parts(e, n):
+    """(int factor, exponent of M) of each slot of the field of w^e along f,
+    as the formula in ``_wf_rows`` gives them, zero factors included."""
+    r_slot = 2 * n
+
+    def moved(*steps):
+        x = list(e)
+        for slot, step in steps:
+            x[slot] += step
+        return tuple(x)
+    for i in range(n):
+        yield e[n + i], moved((n + i, -1))
+        yield e[r_slot], moved((r_slot, -1), (i, 1))
+        yield -e[i], moved((i, -1))
+    yield 1 - sum(e[:n]), e
+
+
+def test_hamiltonian_exponents_are_those_with_a_live_part(germ_corpus):
+    # every exponent emitted has a part with a nonzero factor whose composed
+    # monomial the memo table holds as nonzero, and no exponent of total
+    # degree <= order + 2 outside the list has one
+    cases = [(f, 3 if f.n <= 2 else 2) for f in germ_corpus.values()]
+    cases.append((owu_normal_form(2, 1, cap=6), 4))
+    for f, order in cases:
+        M = _composed_monomials(f, order)
+        for legendre in (False, True):
+            _, emitted = _hamiltonian_exponents(f, order, legendre)
+            assert emitted == sorted(set(emitted))
+            for e in monomials_upto(2 * f.n + 1, order + 2):
+                if not any(e) or (legendre and sum(e[:f.n]) > 1):
+                    continue
+                has_live = any(k and min(x) >= 0 and M(x) is not None
+                               for k, x in _wf_parts(e, f.n))
+                assert has_live == (e in emitted), (f.provenance, e, legendre)
+
+
+def test_stability_check_builds_two_span_echelons(germ_corpus, monkeypatch):
+    # one echelon takes the wf rows then the tf rows, and a small one the tf
+    # rows alone; the fail path inserts its witnesses into the first
+    built = []
+
+    class CountingSpan(stability._SpanEchelon):
+        def __init__(self, ambient):
+            super().__init__(ambient)
+            built.append(self)
+
+    monkeypatch.setattr(stability, "_SpanEchelon", CountingSpan)
+    for f, r, verdict in ((germ_corpus["f_2_1"], 3, "pass"),
+                          (germ_corpus["cusp25_lift"], 4, "fail")):
+        for check in (check_contact_stability, check_legendre_stability):
+            built.clear()
+            report = check(f, r)
+            assert len(built) == 2 and report.verdict == verdict
+            assert report.dims["combined_span"] + len(report.witnesses) == built[0].rank
+            assert report.dims["pushforward_span"] == built[1].rank
 
 
 # -- fiber generation -------------------------------------------------------------------
