@@ -19,10 +19,9 @@ that are new at a working order R, over columns that do not depend on R and
 whose first ones are the coordinates of degree <= r: a call ``f -> (R ->
 (rows, ncols))`` that grades its system's polynomials once, to the highest
 working order cap - 1, and then walks only the slices that can land at R
-(``_form_rows``).  The builders are the membership system (degree R - 1 of the 1-form), its two kernel variants
-(plus degree R of the generating function, or phi = xi = 0 in degree R) and
-the chain-rule system of ``rf_truncated`` (function jets h with dh inside
-the truncated module spanned by the differentials of f's components).  One
+(``_form_rows``).  The builders are the membership system (degree R - 1 of
+the 1-form) and its two kernel variants (plus degree R of the generating
+function, or phi = xi = 0 in degree R); ``rf_truncated`` needs none.  One
 ``SolutionSpace`` takes the system at the slice order and ``_escalate``
 extends it order by order until the projected dimension, read off its
 pivots, repeats (the chain is monotone decreasing and bounded below by the
@@ -231,15 +230,11 @@ class DeformAmbient:
         return row_from_fractions(entries)
 
     def row_to_field(self, row: Row) -> DeformationField:
-        polys = []
-        for c in range(self.ncomps):
-            terms = {}
-            for col, val in row.items():
-                if col % self.ncomps == c:
-                    terms[self.monomials[col // self.ncomps]] = Fraction(val)
-            polys.append(TruncatedPoly(self.f.source.dim, self.order,
-                                       self.f.source.kinds, terms))
-        return DeformationField(self.f, polys)
+        terms, src = [{} for _ in range(self.ncomps)], self.f.source
+        for col, val in row.items():
+            terms[col % self.ncomps][self.monomials[col // self.ncomps]] = Fraction(val)
+        return DeformationField(self.f, [TruncatedPoly(src.dim, self.order, src.kinds, t)
+                                         for t in terms])
 
 
 class PolyAmbient:
@@ -307,17 +302,17 @@ def _graded(poly: TruncatedPoly, top: int, scale: int):
     return out
 
 
-def _form_rows(f: IntegralMap, n: int, factors, column, shift: int = 0):
+def _form_rows(f: IntegralMap, n: int, factors, shift: int = 0):
     """Builder ``R -> rows``: sparse rows, keyed (dx_j, monomial mu), of the
     coefficients of degree R' - 1 (R' = R + shift) of the 1-form
     sum g d(x^m) + x^m w over the unknowns of degree <= R, one per monomial
-    m (graded order) and (slot, g, w) of ``factors``, in column
-    ``column(pos, slot)`` of the pos-th m: a function g or a 1-form
-    w = (w_1..w_n), the other None, graded to cap - 1 once per system.  An
+    m (graded order) and (slot, g, w) of ``factors``, in the ``DeformAmbient``
+    column ``pos * (2 f.n + 1) + slot`` of the pos-th m: a function g or a
+    1-form w = (w_1..w_n), the other None, graded to cap - 1 once per system.  An
     unknown is made when a working order first reaches its degree a, and
     meets only the slice of degree R' - a of g and R' - 1 - a of w, so each
     equation is built once; empty slices never reach ``_scatter``."""
-    made, nvars = [], f.source.dim
+    made, nvars, width = [], f.source.dim, 2 * f.n + 1
 
     def rows(R: int):
         if f.cap < R + 1:
@@ -326,7 +321,7 @@ def _form_rows(f: IntegralMap, n: int, factors, column, shift: int = 0):
         start = len(made) // len(factors)
         if start < comb(nvars + R, nvars):
             monomials = monomials_upto(nvars, R)
-            made.extend((column(pos, slot), monomials[pos], sum(monomials[pos]), g, w)
+            made.extend((pos * width + slot, monomials[pos], sum(monomials[pos]), g, w)
                         for pos in range(start, len(monomials)) for slot, g, w in factors)
         eqs: Dict = {}
         top, R = R, R + shift
@@ -367,7 +362,7 @@ def _vi_rows(f: IntegralMap):
     factors += [(n + i, _graded(g, top, -L), None) for i, g in enumerate(p)]
     factors += [(i, None, [_graded(g, top, -L) for g in row])
                 for i, row in enumerate(dq)]
-    rows = _form_rows(f, n, factors, lambda pos, slot: pos * ncomps + slot)
+    rows = _form_rows(f, n, factors)
     return lambda R: (rows(R), ncomps * comb(n + R, n))
 
 
@@ -382,7 +377,7 @@ def _generating_kernel_rows(f: IntegralMap, e_order: int):
     # (R + 1) - 1 of the one-slot 1-form x^m (1 or -p_i) dx_1
     factors = [(2 * n, None, [_graded(f.source.const(1, top), top, L)])]
     factors += [(n + i, None, [_graded(g, top, -L)]) for i, g in enumerate(p)]
-    e_rows = _form_rows(f, 1, factors, lambda pos, slot: pos * (2 * n + 1) + slot, 1)
+    e_rows = _form_rows(f, 1, factors, 1)
 
     def rows(R: int):
         built, ncols = vi(R)
@@ -400,26 +395,6 @@ def _projection_kernel_rows(f: IntegralMap):
                         for pos in range(comb(n + R - 1, n), comb(n + R, n))
                         for c in range(2 * n)], ncols
     return rows
-
-
-def _rf_rows(f: IntegralMap, order: int):
-    """Builder of the chain-rule system of jets h of degree <= R with
-    dh = sum a_c d(f_c) below degree R, a_c of degree <= R - 1: the
-    coefficients of degree R - 1 of dh - sum a_c d(f_c).
-
-    Columns: h of degree <= order first, then one group per monomial in
-    graded order, holding an h slot (used above degree order) and one slot
-    per a_c (used below degree R)."""
-    nvars, top = f.source.dim, f.cap - 1
-    low, width = comb(nvars + order, nvars), 2 * f.n + 2
-    df = [[comp.partial(j) for j in range(f.n)] for comp in f.components]
-    L = _denominator(g for row in df for g in row)
-    factors = [(0, _graded(f.source.const(1, top), top, L), None)]
-    factors += [(1 + c, None, [_graded(g, top, -L) for g in row])
-                for c, row in enumerate(df)]
-    rows = _form_rows(f, f.n, factors, lambda pos, slot: (
-        pos if slot == 0 and pos < low else low + pos * width + slot))
-    return lambda R: (rows(R), low + width * comb(nvars + R, nvars))
 
 
 def _system(new_rows, order: int):
@@ -480,10 +455,10 @@ def deformation_slice(f: IntegralMap, order: int,
     return SliceData(order, R, stabilized, dim)
 
 
-def _stabilized_slice(f: IntegralMap, order: int, new_rows, low_dim: int) -> JetSubspace:
+def _stabilized_slice(f: IntegralMap, order: int, new_rows) -> JetSubspace:
     """Grow the system of ``new_rows`` from the slice order until its
-    projection stabilizes, and project its solutions."""
-    space = SolutionSpace(*_system(new_rows, order))
+    projection to the order-r jets stabilizes, and project its solutions."""
+    space, low_dim = SolutionSpace(*_system(new_rows, order)), DeformAmbient(f, order).dim
     _escalate(space, new_rows, order, f.cap - 1, low_dim)
     return materialize_slice(space, low_dim)
 
@@ -491,8 +466,7 @@ def _stabilized_slice(f: IntegralMap, order: int, new_rows, low_dim: int) -> Jet
 def vi_basis(f: IntegralMap, order: int) -> JetSubspace:
     """Reduced basis of the jet slice of the deformation space at the given
     order (stabilized projection from the working order)."""
-    return _stabilized_slice(f, order, _vi_rows(f),
-                             DeformAmbient(f, order).dim)
+    return _stabilized_slice(f, order, _vi_rows(f))
 
 
 def kernel_slice(f: IntegralMap, order: int, truncated: bool = False) -> JetSubspace:
@@ -504,26 +478,47 @@ def kernel_slice(f: IntegralMap, order: int, truncated: bool = False) -> JetSubs
     of the genuine kernel.
     """
     e_order = order if truncated else f.cap
-    return _stabilized_slice(f, order, _generating_kernel_rows(f, e_order),
-                             DeformAmbient(f, order).dim)
+    return _stabilized_slice(f, order, _generating_kernel_rows(f, e_order))
 
 
 def projection_kernel_slice(f: IntegralMap, order: int) -> JetSubspace:
     """Jet slice of the members killed by forgetting the Reeb direction
     (phi = xi = 0).  Generated by constants times the Reeb field along f."""
-    return _stabilized_slice(f, order, _projection_kernel_rows(f),
-                             DeformAmbient(f, order).dim)
+    return _stabilized_slice(f, order, _projection_kernel_rows(f))
 
 
 def rf_truncated(f: IntegralMap, order: int) -> JetSubspace:
-    """Jets h of degree <= order with dh inside the truncated module spanned
-    by the differentials of f's components (projected from a stabilized
-    working order, as for the deformation slice)."""
+    """R_f at the given order: the jets h of degree <= order with
+    dh = sum a_c d(f_c) below every working degree (parameters passive).
+
+    Closed form: n - 1 components are nonzero multiples c x_j of distinct
+    source variables, and x_k is the one left (any one if none is).  Such an
+    a_c solves the dx_j equation alone, so the one condition left is
+    d_k h in J + m^R, J = (d_k f_c).  Hence R_f,r = {h free of x_k, of
+    degree <= r} + I_k(J mod m^r), with I_k the integral in x_k from 0; it
+    is injective, so the I_k of the truncated x^m d_k f_c span the second
+    summand.  No escalation: h at order r extends to every R by adding I_k
+    of the part of degree >= r of sum a_c d_k f_c.  Other germs raise
+    ``VariableMismatchError``.  Normal forms, graph-data completions, n = 1
+    germs and swapped Darboux pairs (p_1 = -x_1) qualify."""
     if f.cap < order + 1:
         raise CapShortfallError(
-            f"rf system at order {order} needs cap >= {order + 1}, f has {f.cap}")
-    return _stabilized_slice(f, order, _rf_rows(f, order),
-                             PolyAmbient(f.source.dim, order).dim)
+            f"rf at order {order} needs cap >= {order + 1}, f has {f.cap}")
+    taken = {m.index(1) for c in f.components if len(c.terms) == 1
+             for m in c.terms if sum(m) == 1 and m.index(1) < f.n}
+    left = [j for j in range(f.n) if j not in taken] or [0]
+    if len(left) > 1:
+        raise VariableMismatchError(
+            f"rf needs {f.n - 1} components that are multiples of distinct "
+            f"source variables; {f.provenance} has {len(taken)}")
+    k, src, amb = left[0], f.source, PolyAmbient(f.source.dim, order)
+    out = JetSubspace.from_rows(amb.dim, ({pos: 1} for m, pos in amb.mono_pos.items()
+                                          if not m[k]))
+    for g in (comp.partial(k) for comp in f.components):
+        for m in monomials_upto(src.dim, order - 1):
+            xm = TruncatedPoly(src.dim, order - 1, src.kinds, {m: Fraction(1)})
+            out.insert(amb.poly_to_row((xm * g).integral(k)))
+    return out
 
 
 def generating_function_image(f: IntegralMap, order: int,
@@ -531,11 +526,7 @@ def generating_function_image(f: IntegralMap, order: int,
     """Span of truncated generating functions of the jet slice."""
     if slice_space is None:
         slice_space = vi_basis(f, order)
-    ambient = DeformAmbient(f, order)
-    h_amb = PolyAmbient(f.source.dim, order)
-    out = JetSubspace(h_amb.dim)
-    for row in slice_space.basis_rows():
-        v = ambient.row_to_field(row)
-        e = v.generating_function()
-        out.insert(h_amb.poly_to_row(e))
-    return out
+    ambient, h_amb = DeformAmbient(f, order), PolyAmbient(f.source.dim, order)
+    return JetSubspace.from_rows(h_amb.dim, (
+        h_amb.poly_to_row(ambient.row_to_field(row).generating_function())
+        for row in slice_space.basis_rows()))

@@ -18,6 +18,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Dict, Iterable, List, Tuple
 
+from .ring import _frac_str
+
 Row = Dict[int, int]
 
 
@@ -176,15 +178,11 @@ class JetSubspace:
         for row in self.basis_rows():
             pivot_val = row[_pivot(row)]
             entries = {
-                str(c): _frac_repr(Fraction(v, pivot_val))
+                str(c): _frac_str(Fraction(v, pivot_val))
                 for c, v in sorted(row.items())
             }
             rows_doc.append(entries)
         return {"ambient_dim": self.ambient_dim, "dim": self.dim, "rows": rows_doc}
-
-
-def _frac_repr(v: Fraction) -> str:
-    return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
 
 def annihilates(constraints: Iterable[Row], rows: Iterable[Row]) -> bool:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Iterable, Sequence, Tuple
 
-from .errors import CapShortfallError, ParseError, VariableMismatchError
+from .errors import CapShortfallError, ParseError, VariableMismatchError, WhitneyError
 
 Exponent = Tuple[int, ...]
 Terms = Dict[Exponent, Fraction]
@@ -33,6 +33,9 @@ _WEIGHT = {P: 1, Q: 1, R: 2}
 
 #: sentinel for the order of the zero polynomial
 INF = float("inf")
+
+#: bits of a 4,300-digit literal, the longest int() reads by default
+_LITERAL_BITS = (10 ** 4300 - 1).bit_length()
 
 
 def _as_fraction(c) -> Fraction:
@@ -448,7 +451,10 @@ class TruncatedPoly:
 
 
 def _frac_str(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+    try:
+        return str(c)       # "a" or "a/b"
+    except ValueError:      # past the digit limit of int -> str, 4,300 by default
+        raise WhitneyError("a coefficient has too many digits to print") from None
 
 
 # -- expression parser --------------------------------------------------------
@@ -565,6 +571,10 @@ class _Parser(_Tokenizer):
             while self.pos < len(self.text) and self.text[self.pos].isdigit():
                 self.pos += 1
             k = int(self.text[start:self.pos])
+            bits = max((abs(x).bit_length() for c in value.terms.values()
+                        for x in c.as_integer_ratio()), default=1)
+            if k * (bits - 1) > _LITERAL_BITS:      # |c|^k has >= k(bits - 1) bits
+                raise ParseError(f"power ^{k} would build a coefficient of over 4300 digits")
             if len(value.terms) == 1:
                 # a single term c x^m is raised in one step to c^k x^(km); its
                 # degree is checked first, so a power above the cap is free

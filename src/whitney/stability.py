@@ -713,12 +713,13 @@ def singular_locus_evidence(f: IntegralMap):
 
 def ca_evidence_report(f: IntegralMap, order: int) -> StabilityReport:
     """Library-only evidence report (no CLI mode reaches it) for the closure
-    condition: the chain-rule closure of the pullback algebra adds nothing at
-    this order, and the singular locus looks codimension >= 2 at jet level.
-
-    The analytic half of the genuine condition (a complex representative
-    whose singular locus has codimension >= 2) is not decidable from jets,
-    so the verdict is labeled evidence, never the condition itself.
+    condition: the chain-rule closure R_f (``rf_truncated``: needs n - 1
+    components that are multiples of distinct source variables, else raises
+    ``VariableMismatchError``) adds nothing to the pullback algebra at this
+    order, and the singular locus looks codimension >= 2 at jet level.  The
+    analytic half of the genuine condition (a complex representative whose
+    singular locus has codimension >= 2) is not decidable from jets, so the
+    verdict is labeled evidence, never the condition itself.
     """
     from .deformations import rf_truncated
     closure = rf_truncated(f, order)

@@ -200,6 +200,15 @@ def test_deep_nesting_is_malformed(tmp_path, capsys):
     assert err.endswith("expression nested too deeply\n")
 
 
+def test_coefficient_too_long_to_print_is_malformed(tmp_path, capsys):
+    # the completed r holds 3^15000 / 5, past the digits str() prints: a
+    # refusal of the input (exit 2), not an internal error
+    for u in ("3^5000*x1^2", "3^10000*x1^2"):
+        path = write(tmp_path, "long.germ",
+                     f"n = 1\nu = {u}\nv = 3^5000*x1^3\ncomplete = true\n")
+        assert main(["complete", path]) == 2, u
+        assert capsys.readouterr().err == "error: a coefficient has too many digits to print\n"
+
 def test_unexpected_exception_is_internal_error(tmp_path, capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("boom")

@@ -2,24 +2,25 @@
 jet slices and the function-side solve."""
 
 import hashlib
+import json
 import random
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import pytest
 
 from whitney.contact import contact_hamiltonian, scaled_contact_hamiltonian, scaled_reeb
 from whitney.deformations import (DeformAmbient, DeformationField,
                                   _generating_kernel_rows, _projection_kernel_rows,
-                                  _rf_rows, _vi_rows, deformation_slice,
+                                  _vi_rows, deformation_slice,
                                   generating_function_image,
                                   interior_with_alpha, kernel_slice, module_mult,
                                   projection_kernel_slice, reeb_along, rf_truncated,
-                                  tf_apply, vi_basis, wf_apply)
-from whitney.errors import UncertifiedFieldError
+                                  tf_apply, vi_basis, wf_apply, _system)
+from whitney.errors import UncertifiedFieldError, VariableMismatchError
 
-from whitney.integral_maps import owu_normal_form
-from whitney.linalg import JetSubspace
+from whitney.integral_maps import IntegralMap, owu_normal_form
+from whitney.linalg import JetSubspace, SolutionSpace
 from whitney.ring import TruncatedPoly, monomials_upto
 from whitney import deformations, linalg, stability
 from whitney.stability import (_tf_rows, _wf_rows, check_contact_stability,
@@ -225,18 +226,6 @@ def _deform_labels(f, R):
     return lambda col: (col % amb.ncomps, amb.monomials[col // amb.ncomps])
 
 
-def _rf_labels(f, order, R):
-    monos = monomials_upto(f.source.dim, R)
-    low, width = len(monomials_upto(f.source.dim, order)), 2 * f.n + 2
-
-    def label(col):
-        if col < low:
-            return ("h", monos[col])
-        k, slot = divmod(col - low, width)
-        return ("h", monos[k]) if slot == 0 else ("a", slot - 1, monos[k])
-    return label
-
-
 def _dense_vi(f, R):
     comps = [dict(c.terms) for c in f.components]
     rows, _, mlist, ncomps = oracles._vi_matrix(comps, f.n, f.source.dim, R)
@@ -256,27 +245,6 @@ def _dense_e_rows(f, R, e_order):
                 if mu in rows:
                     rows[mu][(n + i, m)] = -c
     return list(rows.values())
-
-
-def _dense_rf(f, R):
-    """chain-rule equations below degree R: dh - sum a_c d(f_c), h of degree
-    <= R, a_c of degree <= R - 1"""
-    nv, eqs = f.source.dim, {}
-
-    def put(j, mu, label, value):
-        if sum(mu) <= R - 1:
-            row = eqs.setdefault((j, mu), {})
-            row[label] = row.get(label, 0) + value
-    for m in oracles.monos(nv, R):
-        for j in range(f.n):
-            if m[j]:
-                put(j, m[:j] + (m[j] - 1,) + m[j + 1:], ("h", m), Fraction(m[j]))
-    for c, comp in enumerate(f.components):
-        for j in range(f.n):
-            for t, v in oracles.pdiff(dict(comp.terms), j).items():
-                for m in oracles.monos(nv, R - 1):
-                    put(j, tuple(a + b for a, b in zip(m, t)), ("a", c, m), -v)
-    return list(eqs.values())
 
 
 def _normalized(rows):
@@ -307,8 +275,6 @@ def test_order_R_rows_reappear_at_order_R_plus_1(germ_corpus):
              lambda f, R: _dense_vi(f, R) + [
                  {(c, m): 1} for c in range(2 * f.n)
                  for m in oracles.monos(f.source.dim, R)], _deform_labels),
-            (_rf_rows(f, order), _dense_rf,
-             lambda f, R: _rf_labels(f, order, R)),
         )
         for k, (new_rows, dense, labels) in enumerate(builders):
             system, ncols = [], 0
@@ -346,20 +312,18 @@ def _count_builds(monkeypatch):
         seen["late_grades"] += bool(seen["orders"])
         return graded(*args)
     monkeypatch.setattr(deformations, "_graded", counting_graded)
-    for name in ("_vi_rows", "_rf_rows"):
-        make = getattr(deformations, name)
+    make = deformations._vi_rows
 
-        def wrapped(*args, make=make):
-            seen["builders"] += 1
-            build = make(*args)
+    def wrapped(*args):
+        seen["builders"] += 1
+        build = make(*args)
 
-            def rows(R):
-                seen["orders"].append(R)
-                return build(R)
-            return rows
-        for module in (deformations, stability):
-            if getattr(module, name, None) is make:
-                monkeypatch.setattr(module, name, wrapped)
+        def rows(R):
+            seen["orders"].append(R)
+            return build(R)
+        return rows
+    for module in (deformations, stability):
+        monkeypatch.setattr(module, "_vi_rows", wrapped)
     return seen
 
 
@@ -382,8 +346,7 @@ def test_one_constraint_echelon_and_one_build_per_equation_degree(
         data, top = run(lambda: deformation_slice(f, r))
         assert top == data.working_order > r
         for call in (lambda: vi_basis(f, r), lambda: kernel_slice(f, r),
-                     lambda: projection_kernel_slice(f, r),
-                     lambda: rf_truncated(f, r)):
+                     lambda: projection_kernel_slice(f, r)):
             _, top = run(call)
             assert top > r
         for check in (check_contact_stability, check_legendre_stability):
@@ -434,8 +397,7 @@ def test_builder_rows_are_primitive_int_rows(monkeypatch, germ_corpus):
         rows = _tf_rows(f, r, ambient) + _wf_rows(f, r, ambient, False)
         rows += _wf_rows(f, r, ambient, True)
         builders = (_vi_rows(f), _generating_kernel_rows(f, r),
-                    _generating_kernel_rows(f, f.cap), _projection_kernel_rows(f),
-                    _rf_rows(f, r))
+                    _generating_kernel_rows(f, f.cap), _projection_kernel_rows(f))
         for R in range(r + 2):
             for build in builders:
                 rows += build(R)[0]
@@ -447,7 +409,7 @@ def test_builder_rows_are_primitive_int_rows(monkeypatch, germ_corpus):
 # sha256 of the rows below as the builders made them before they graded
 # their tables once per system: any change of a row, of the row order or of
 # the column count changes it
-BUILDER_ROWS_SHA256 = "432b4b5cc14430ac9c2fdf9436fd5e6f48a9eff3b71267a5565261f3b5938896"
+BUILDER_ROWS_SHA256 = "5140aa931e6400581b3304d6834a0b571136709e0fa1e2490483516c9cb2d26e"
 
 
 def test_builder_rows_match_pinned_digest(germ_corpus):
@@ -458,7 +420,7 @@ def test_builder_rows_match_pinned_digest(germ_corpus):
     for name, f, r in cases:
         systems = (("vi", _vi_rows(f)), ("ker_r", _generating_kernel_rows(f, r)),
                    ("ker_cap", _generating_kernel_rows(f, f.cap)),
-                   ("proj", _projection_kernel_rows(f)), ("rf", _rf_rows(f, r)))
+                   ("proj", _projection_kernel_rows(f)))
         for label, build in systems:
             for R in range(r + 3):
                 rows, ncols = build(R)
@@ -616,3 +578,83 @@ def test_subspace_serialization(f21):
                    for k, v in row.items())
     # deterministic: serializing twice gives the same document
     assert rf_truncated(f21, 3).to_doc() == doc
+
+
+# sha256 of json.dumps([name, r, rf_truncated(f, r).to_doc()]) over the corpus
+# (names sorted) at r <= 8/6/4/3 for n = 1/2/3/4, as the escalated chain-rule
+# system gave them before the closed form
+RF_DOCS_SHA256 = "bbef673098cefd3550aaa8ed25ccff4b612d7b91b6ae3a8c24e9ff344156dce8"
+
+
+def test_rf_docs_match_pinned_digest(germ_corpus):
+    digest = hashlib.sha256()
+    top = {1: 8, 2: 6, 3: 4, 4: 3}
+    for name, f in sorted(germ_corpus.items()):
+        for r in range(top[f.n] + 1):
+            digest.update(json.dumps([name, r, rf_truncated(f, r).to_doc()],
+                                     sort_keys=True).encode())
+    assert digest.hexdigest() == RF_DOCS_SHA256
+
+
+def test_rf_refuses_a_germ_not_in_coordinate_form(f21):
+    # x1 -> x1 + x2^2 leaves no component of f_2_1 a multiple of a source
+    # variable, so the closed form has no variable to integrate in
+    x1, x2 = (f21.source.var(i, f21.cap) for i in range(2))
+    sheared = IntegralMap(2, [c.substitute([x1 + x2 ** 2, x2]) for c in f21.components],
+                          source=f21.source, provenance="sheared f_2_1")
+    with pytest.raises(VariableMismatchError):
+        rf_truncated(sheared, 3)
+
+
+def test_rf_builds_no_solution_space(monkeypatch, f21, cusp25):
+    def forbidden(*args):
+        raise AssertionError("rf_truncated solves no constraint system")
+    monkeypatch.setattr(linalg.SolutionSpace, "__init__", forbidden)
+    assert rf_truncated(f21, 6).equals(pullback_algebra_span(f21, 6))
+    assert rf_truncated(cusp25, 7).dim == pullback_algebra_span(cusp25, 7).dim
+
+
+# -- closed-form slice dimensions ------------------------------------------------------------
+
+
+def _closed_form_slice_dims(n, r):
+    """(D + O, D, D): the projected slice dims at working orders r, r + 1
+    and r + 2, with D the genuine jet image and O the over-count of the
+    one-shot system (argument below)."""
+    D = (n + 1) * comb(n + r, n) + comb(n + r, n - 1)
+    O = 0 if n == 1 or r == 0 else (
+        (n - 1) * comb(n + r - 1, n - 1) - comb(n + r - 1, n - 2))
+    return D + O, D, D
+
+
+def test_projected_slice_dims_have_a_closed_form(germ_corpus):
+    # Every corpus germ is in coordinate form: n - 1 of its q-components are
+    # multiples of distinct source variables, say q_j = x_j for j != k.  The
+    # membership identity ds - sum p_i dxi_i - sum phi_i dq_i = 0 then reads,
+    # in dx_j (j != k), phi_j = d_j s - sum p_i d_j xi_i - phi_k d_j q_k, and
+    # in dx_k, d_k s = sum p_i d_k xi_i + phi_k d_k q_k.  So xi, phi_k and
+    # s_0 = s restricted to x_k = 0 parametrise the genuine solutions freely,
+    # and the other phi_j and s follow.  The r-jet of a solution holds the
+    # r-jets of xi and phi_k, the degree <= r part of s_0, and, through
+    # phi_j = d_j s_0 + ..., its degree r + 1 part: every other term it reads
+    # comes from those.  The genuine jet image has dim
+    #     D = (n + 1) C(n + r, n) + C(n + r, n - 1)
+    # (xi_1..xi_n and phi_k of degree <= r, s_0 in n - 1 variables of degree
+    # <= r + 1).  At working order r no equation has degree r, so the
+    # degree-r parts of the phi_j (j != k) are free, where the genuine image
+    # holds only the d_j s_0 of degree-(r + 1) parts of s_0: the over-count is
+    #     O = (n - 1) C(n + r - 1, n - 1) - C(n + r - 1, n - 2).
+    # From working order r + 1 on, the equations of degree r pin them, and
+    # every truncated solution is the truncation of the genuine solution
+    # with the same xi, phi_k and s_0, so the projection is D at r + 1 and
+    # again at r + 2.  The same structure gives rf_truncated its closed form.
+    top = {1: 7, 2: 5, 3: 3, 4: 2}
+    for name, f in germ_corpus.items():
+        for r in range(top[f.n] + 1):
+            new_rows, low = _vi_rows(f), DeformAmbient(f, r).dim
+            space = SolutionSpace(*_system(new_rows, r))
+            dims = [space.projected_dim(low)]
+            for R in (r + 1, r + 2):
+                space.extend(*new_rows(R))
+                dims.append(space.projected_dim(low))
+            assert tuple(dims) == _closed_form_slice_dims(f.n, r), (name, r)

@@ -4,7 +4,9 @@ Documents of n <= 2 at cap <= 6 get their keys renamed, their values
 replaced and their expressions spliced with junk.  The parser may only
 accept a document or raise ``ParseError``, and ``whitney check`` may only
 exit with a documented verdict code (0 pass, 1 fail, 2 malformed or range
-error, 3 inconclusive); text the parser refuses exits 2, never 4.
+error, 3 inconclusive); text the parser refuses exits 2, never 4.  The
+expression parser on its own gets exponents up to 10^9, chained, and must
+answer each in a bounded time.
 """
 
 import contextlib
@@ -18,6 +20,7 @@ from hypothesis import strategies as st
 from whitney import cli
 from whitney.errors import ParseError, WhitneyError
 from whitney.germdoc import DEFAULT_CAP, parse_germ_document
+from whitney.ring import SOURCE, TruncatedPoly, parse_expression
 
 BASES = (
     "n = 1\ncap = 6\nvars = t\np1 = 5/2*t^3\nq1 = t^2\nr = t^5\n",
@@ -108,3 +111,35 @@ def test_check_exits_with_a_documented_code(text, order):
     assert code in (0, 1, 2, 3), err.getvalue()
     if malformed:
         assert code == 2, err.getvalue()
+
+
+EXPONENTS = st.one_of(st.integers(0, 12), st.integers(0, 10 ** 9))
+ATOMS = st.one_of(st.integers(0, 99).map(str),
+                  st.tuples(st.integers(0, 99), st.integers(1, 99)).map("{0[0]}/{0[1]}".format),
+                  st.sampled_from(("x1", "x2", "x3")))
+
+
+def _powered(base):
+    return st.tuples(base, st.lists(EXPONENTS, min_size=1, max_size=3)).map(
+        lambda t: t[0] + "".join(f"^{k}" for k in t[1]))
+
+
+EXPRESSIONS = st.recursive(
+    st.one_of(ATOMS, _powered(ATOMS)),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from((" + ", " - ", "*")), inner).map("".join),
+        inner.map("-{}".format),
+        _powered(inner.map("({})".format))),
+    max_leaves=8)
+
+
+@given(EXPRESSIONS)
+@settings(max_examples=200, deadline=2000, derandomize=True)
+def test_parse_expression_gives_a_poly_or_parse_error(text):
+    # the power budget refuses every coefficient that no literal could spell,
+    # so no example runs past the deadline (2 s)
+    try:
+        poly = parse_expression(text, ("x1", "x2", "x3"), 6, (SOURCE,) * 3)
+    except ParseError:
+        return
+    assert isinstance(poly, TruncatedPoly)

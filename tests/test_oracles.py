@@ -56,6 +56,50 @@ def test_rf_dimension_matches_oracle(germ_corpus, name):
     assert lib.dim == dim, name
 
 
+def legendre_swapped(f, i):
+    """f with its i-th Darboux pair swapped, (p_i, q_i, r) -> (-q_i, p_i,
+    r - p_i q_i), which keeps dr - sum p dq: for a normal form p_i = -x_i."""
+    comps = list(f.components)
+    p, q = comps[i], comps[f.n + i]
+    comps[i], comps[f.n + i], comps[2 * f.n] = -q, p, comps[2 * f.n] - p * q
+    return IntegralMap(f.n, comps, params=f.params, source=f.source,
+                       provenance=f"{f.provenance} swapped {i + 1}")
+
+
+def seeded_uv_germs(count, seed, params=(), cap=6):
+    """Graph-data completions for n = 1, 2 with random terms of degree 2..3
+    in every source variable, parameters included; v is a multiple of x_n,
+    so the boundary compatibility holds."""
+    rng = random.Random(seed)
+    for index in range(count):
+        n = 1 + index % 2
+        ch = source_chart(n, params)
+        xn = ch.var(n - 1, cap)
+
+        def poly(lo, hi):
+            monos = [m for m in monomials_upto(ch.dim, hi) if sum(m) >= lo]
+            return TruncatedPoly(ch.dim, cap, ch.kinds, {
+                m: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                for m in rng.sample(monos, min(3, len(monos)))})
+        yield complete_from_uv(n, xn ** 2 + poly(2, 3), xn * (xn ** 2 + poly(1, 2)),
+                               params=params, source=ch, provenance="seeded")
+
+
+def test_rf_dimension_matches_oracle_off_the_corpus():
+    # the closed form against the escalated dense chain-rule system: seeded
+    # completions with and without a passive parameter, and normal forms
+    # with a swapped Darboux pair (coordinate form through a p-component)
+    cases = [(f, r) for f in seeded_uv_germs(6, 2029) for r in (2, 3, 4)]
+    cases += [(f, r) for f in seeded_uv_germs(4, 2030, params=("lam",)) for r in (2, 3)]
+    for n, k in ((1, 0), (2, 0), (2, 1), (3, 1)):
+        f = owu_normal_form(n, k, cap=5)
+        cases += [(legendre_swapped(f, i), r) for i in {0, n - 1} for r in (2, 3)]
+    for f, r in cases:
+        dim, _ = oracles.oracle_rf_dim(bare_components(f), f.n, f.source.dim,
+                                       r, f.cap - 1)
+        assert rf_truncated(f, r).dim == dim, (f.provenance, r)
+
+
 def not_generated_germ():
     """complete_from_uv(2, x2^3, x2^2) at cap 7: from degree 4 on, its fiber
     quotient (dim 3) is not generated by 1 and the p-components."""

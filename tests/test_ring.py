@@ -234,6 +234,18 @@ def test_huge_power_of_one_term_is_zero_at_once():
     assert time.perf_counter() - start < 0.5
 
 
+
+def test_power_past_the_literal_limit_is_refused_at_once():
+    # each of these powers has a coefficient longer than any literal int()
+    # reads by default (4,300 digits): refused before it is built
+    start = time.perf_counter()
+    for text in ("3^10000000*x1", "3^4000^4000*x1", "(2+x1)^1000000"):
+        with pytest.raises(ParseError):
+            poly3(text)
+    assert time.perf_counter() - start < 0.5
+    # a base whose coefficients are all +-1 is not bounded this way
+    assert poly3("(1+x1)^1000000000").coefficient((1, 0, 0)) == 1000000000
+
 @given(random_poly(nvars=3, maxdeg=5))
 @settings(max_examples=60, deadline=None)
 def test_render_parse_round_trip(a):

@@ -9,7 +9,7 @@ import pytest
 
 from whitney import stability
 from whitney.deformations import (DeformAmbient, _generating_kernel_rows,
-                                  _projection_kernel_rows, _rf_rows, _vi_rows)
+                                  _projection_kernel_rows, _vi_rows, rf_truncated)
 from whitney.errors import CapShortfallError, VariableMismatchError
 from whitney.forms import source_chart
 from whitney.integral_maps import (IntegralMap, complete_from_uv,
@@ -132,7 +132,7 @@ def test_calls_leave_no_cyclic_garbage():
         ("_vi_rows", lambda: _vi_rows(f)(4)),
         ("_generating_kernel_rows", lambda: _generating_kernel_rows(f, 3)(4)),
         ("_projection_kernel_rows", lambda: _projection_kernel_rows(f)(4)),
-        ("_rf_rows", lambda: _rf_rows(f, 3)(4)),
+        ("rf_truncated", lambda: rf_truncated(f, 3)),
         ("compute_conclusive_order", lambda: compute_conclusive_order(f)),
         ("fiber_quotient", lambda: fiber_quotient(f)),
         ("check_contact_stability", lambda: check_contact_stability(f, 3)),
